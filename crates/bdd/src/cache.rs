@@ -233,9 +233,13 @@ pub(crate) struct Caches {
     pub and_exists: OpCache,
     pub constrain: OpCache,
     pub restrict: OpCache,
-    /// Scoped substitution memo shared by `vector_compose` and
-    /// `cofactor`: each call opens a fresh scope with an O(1) `clear`,
-    /// because memoized results are valid only for that call's map.
+    /// Shannon cofactors, keyed on `(regular node, literal edge of the
+    /// variable — complemented for the 0-cofactor, 0)`. Persistent across
+    /// calls like the other operation caches.
+    pub cofactor: OpCache,
+    /// Scoped substitution memo of `vector_compose`: each call opens a
+    /// fresh scope with an O(1) `clear`, because memoized results are
+    /// valid only for that call's map.
     pub subst: OpCache,
     /// Per-cache slot cap (rounded up to a power of two on use).
     pub limit: usize,
@@ -249,18 +253,20 @@ impl Caches {
             and_exists: OpCache::default(),
             constrain: OpCache::default(),
             restrict: OpCache::default(),
+            cofactor: OpCache::default(),
             subst: OpCache::default(),
             limit: DEFAULT_CACHE_LIMIT,
         }
     }
 
-    fn all_mut(&mut self) -> [&mut OpCache; 6] {
+    fn all_mut(&mut self) -> [&mut OpCache; 7] {
         [
             &mut self.ite,
             &mut self.exists,
             &mut self.and_exists,
             &mut self.constrain,
             &mut self.restrict,
+            &mut self.cofactor,
             &mut self.subst,
         ]
     }
@@ -283,16 +289,9 @@ impl Caches {
 
     /// Lifetime totals across all operations: `(lookups, hits)`.
     pub fn totals(&self) -> (u64, u64) {
-        let all = [
-            &self.ite,
-            &self.exists,
-            &self.and_exists,
-            &self.constrain,
-            &self.restrict,
-            &self.subst,
-        ];
-        let lookups = all.iter().map(|c| c.lookups).sum();
-        let hits = all.iter().map(|c| c.hits).sum();
+        let all = self.named();
+        let lookups = all.iter().map(|(_, c)| c.lookups).sum();
+        let hits = all.iter().map(|(_, c)| c.hits).sum();
         (lookups, hits)
     }
 
@@ -302,13 +301,14 @@ impl Caches {
     }
 
     /// All caches with their operation names, for the cache-residue audit.
-    pub fn named(&self) -> [(&'static str, &OpCache); 6] {
+    pub fn named(&self) -> [(&'static str, &OpCache); 7] {
         [
             ("ite", &self.ite),
             ("exists", &self.exists),
             ("and_exists", &self.and_exists),
             ("constrain", &self.constrain),
             ("restrict", &self.restrict),
+            ("cofactor", &self.cofactor),
             ("subst", &self.subst),
         ]
     }
@@ -438,7 +438,7 @@ mod tests {
         let _ = cs.ite.get((0, 0, 0));
         let _ = cs.exists.get((9, 9, 9));
         assert_eq!(cs.totals(), (2, 1));
-        assert_eq!(cs.stats().len(), 6);
+        assert_eq!(cs.stats().len(), 7);
         assert!(cs.bytes() > 0);
         cs.clear_all();
         assert_eq!(cs.stats()[0].entries, 0);

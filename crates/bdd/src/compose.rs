@@ -3,12 +3,14 @@
 //! Simultaneous (vector) composition is the engine behind the paper's
 //! symbolic simulation step: next-state functions over state variables are
 //! composed with the Boolean functional vector of the current reached set
-//! in one pass (`bfvr-sim`). Memoized results are valid only for one
+//! in one pass (`bfvr-sim`). Memoized compositions are valid only for one
 //! call's substitution map, so each call opens a fresh *scope* in the
-//! shared lossy [`crate::cache`] table — an O(1) generation bump — instead
-//! of allocating a hash map per call. Both polarities of an operand fold
-//! onto one entry, because substitution commutes with complement:
-//! `(¬f)[v ← g] = ¬(f[v ← g])`.
+//! lossy [`crate::cache`] table — an O(1) generation bump — instead of
+//! allocating a hash map per call. Cofactors depend only on the variable
+//! and the value, so they live in a persistent cache of their own and
+//! survive across calls until the next collection or reorder. In both,
+//! the two polarities of an operand fold onto one entry, because
+//! substitution commutes with complement: `(¬f)[v ← g] = ¬(f[v ← g])`.
 
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};
@@ -26,18 +28,18 @@ impl BddManager {
     /// Panics if `v` is outside the manager's variable range.
     pub fn cofactor(&mut self, f: Bdd, v: Var, val: bool) -> Result<Bdd> {
         assert!(v.0 < self.num_vars(), "variable {v} out of range");
-        // The scope opens inside the closure so a reclaim-and-retry starts
-        // from a clean table (stale entries would reference freed slots).
         // Recursion walks by *level*; resolve the variable's current level
-        // once up front (identity until a dynamic reorder).
+        // once up front (identity until a dynamic reorder). The cache key
+        // names the variable and value by the literal edge `v` or `¬v`:
+        // literals are always live, so every key word stays an edge the
+        // cache-residue audit can check, and a reorder flushes the cache
+        // before a level could mean another variable.
         let lvl = self.var_to_level(v);
-        self.recover(&[f], |m| {
-            m.caches.subst.clear();
-            m.cofactor_rec(f, lvl, val)
-        })
+        let lit = if val { self.var(v) } else { self.nvar(v) };
+        self.recover(&[f], |m| m.cofactor_rec(f, lvl, val, lit.0))
     }
 
-    fn cofactor_rec(&mut self, f: Bdd, lvl: u32, val: bool) -> Result<Bdd> {
+    fn cofactor_rec(&mut self, f: Bdd, lvl: u32, val: bool, lit: u32) -> Result<Bdd> {
         if f.is_const() || self.level(f) > lvl {
             return Ok(f);
         }
@@ -45,19 +47,19 @@ impl BddManager {
             return Ok(if val { self.high(f) } else { self.low(f) });
         }
         // Cofactoring commutes with complement, so both polarities of a
-        // node share one scope entry keyed on the regular edge.
+        // node share one entry keyed on the regular edge.
         let reg = f.regular();
         let neg = f.is_complemented();
-        let key = (reg.0, 0, 0);
-        if let Some(r) = self.caches.subst.get(key) {
+        let key = (reg.0, lit, 0);
+        if let Some(r) = self.caches.cofactor.get(key) {
             return Ok(if neg { r.complement() } else { r });
         }
         let top = self.level(reg);
-        let e = self.cofactor_rec(self.low(reg), lvl, val)?;
-        let t = self.cofactor_rec(self.high(reg), lvl, val)?;
+        let e = self.cofactor_rec(self.low(reg), lvl, val, lit)?;
+        let t = self.cofactor_rec(self.high(reg), lvl, val, lit)?;
         let r = self.mk(top, e, t)?;
         let limit = self.caches.limit;
-        self.caches.subst.put(key, r, limit);
+        self.caches.cofactor.put(key, r, limit);
         Ok(if neg { r.complement() } else { r })
     }
 

@@ -432,3 +432,107 @@ fn permute_roundtrip() {
         assert_eq!(back, f, "case {case}");
     });
 }
+
+/// `(lookups, hits)` of the persistent cofactor cache.
+fn cofactor_cache(m: &BddManager) -> (u64, u64) {
+    let s = m.cache_stats();
+    let c = s.iter().find(|c| c.name == "cofactor").unwrap();
+    (c.lookups, c.hits)
+}
+
+/// Checks `m.cofactor(f, v, val)` against the expression it was built from.
+fn assert_cofactor(m: &mut BddManager, e: &Expr, f: Bdd, v: u32, val: bool, what: &str) {
+    let cf = m.cofactor(f, Var(v), val).unwrap();
+    for asg in assignments() {
+        let mut a = asg.clone();
+        a[v as usize] = val;
+        assert_eq!(m.eval(cf, &asg), e.eval(&a), "{what}: v{v}={val}");
+    }
+}
+
+#[test]
+fn repeated_cofactor_is_served_from_the_cache() {
+    let mut served = 0;
+    for_cases(0xB00E, |case, rng| {
+        let e = Expr::random(rng, NVARS, 5);
+        let v = rng.below(NVARS as u64) as u32;
+        let val = rng.flip();
+        let mut m = BddManager::new(NVARS);
+        let f = e.build(&mut m);
+        let first = m.cofactor(f, Var(v), val).unwrap();
+        let mk = m.stats().mk_calls;
+        let (lookups, hits) = cofactor_cache(&m);
+        let again = m.cofactor(f, Var(v), val).unwrap();
+        assert_eq!(again, first, "case {case}");
+        assert_eq!(m.stats().mk_calls, mk, "case {case}: repeat made nodes");
+        // Every lookup of the repeat hits (one at the root, when the
+        // root sits above v; none when the answer is immediate).
+        let (l2, h2) = cofactor_cache(&m);
+        assert_eq!(l2 - lookups, h2 - hits, "case {case}: repeat missed");
+        served += h2 - hits;
+    });
+    assert!(served > 0, "no case exercised the memo");
+}
+
+#[test]
+fn cofactor_polarities_never_share_entries() {
+    for_cases(0xB00F, |case, rng| {
+        let e = Expr::random(rng, NVARS, 5);
+        let v = rng.below(NVARS as u64) as u32;
+        let mut m = BddManager::new(NVARS);
+        let f = e.build(&mut m);
+        let nf = m.not(f);
+        let ne = Expr::Not(Box::new(e.clone()));
+        // Interleave both values and both polarities of the operand, in
+        // a random order, twice: every answer after the first is served
+        // by whatever the cache holds.
+        let first = rng.flip();
+        for val in [first, !first, first, !first] {
+            assert_cofactor(&mut m, &e, f, v, val, &format!("case {case} f"));
+            assert_cofactor(&mut m, &ne, nf, v, val, &format!("case {case} ¬f"));
+        }
+    });
+}
+
+#[test]
+fn cofactor_memo_is_flushed_by_gc_and_reorder() {
+    for_cases(0xB010, |case, rng| {
+        let mut m = BddManager::new(NVARS);
+        let ef = Expr::random(rng, NVARS, 5);
+        let eg = Expr::random(rng, NVARS, 5);
+        let f = ef.build(&mut m);
+        let g = eg.build(&mut m);
+        for v in 0..NVARS {
+            for val in [false, true] {
+                let _ = m.cofactor(f, Var(v), val).unwrap();
+                let _ = m.cofactor(g, Var(v), val).unwrap();
+            }
+        }
+        // Free g's nodes; a fresh function may then reuse their slots.
+        m.collect_garbage(&[f]);
+        assert!(m.audit_cache_residue().is_empty(), "case {case} after GC");
+        let eh = Expr::random(rng, NVARS, 5);
+        let h = eh.build(&mut m);
+        for v in 0..NVARS {
+            for val in [false, true] {
+                assert_cofactor(&mut m, &ef, f, v, val, &format!("case {case} gc f"));
+                assert_cofactor(&mut m, &eh, h, v, val, &format!("case {case} gc h"));
+            }
+        }
+        // Reverse the order by level swaps.
+        let reversed: Vec<u32> = (0..NVARS).rev().collect();
+        m.reorder_to(&reversed, &[f, h]).unwrap();
+        assert!(m.order_is_permuted(), "case {case}");
+        assert!(
+            m.audit_cache_residue().is_empty(),
+            "case {case} after swaps"
+        );
+        for v in 0..NVARS {
+            for val in [false, true] {
+                assert_cofactor(&mut m, &ef, f, v, val, &format!("case {case} swap f"));
+                assert_cofactor(&mut m, &eh, h, v, val, &format!("case {case} swap h"));
+            }
+        }
+        m.check_invariants().unwrap();
+    });
+}

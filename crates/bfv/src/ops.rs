@@ -41,6 +41,20 @@ use crate::{Result, Space};
 /// if it is forced to that value in both operands, or in the only operand
 /// not yet excluded.
 ///
+/// Each component is one fused step over the forced conditions
+/// `f¹ = f|v=0` and `f⁰ = ¬f|v=1` (the free-choice condition is never
+/// needed):
+///
+/// * `h¹ = f¹g¹ ∨ f¹gˣ ∨ fˣg¹ = ite(f¹, g¹ ∨ gˣ, fˣ ∧ g¹)`, `h⁰` alike;
+/// * `h = ite(v, ¬h⁰, h¹)`, which is `h¹ ∨ (¬h¹ ∧ ¬h⁰ ∧ v)` because
+///   `h¹ ∧ h⁰ = ⊥`;
+/// * `x' = x ∨ ite(h, x⁰, x¹)` for each operand's exclusion `x` with its
+///   forced conditions `x¹, x⁰`.
+///
+/// The disjointness `h¹ ∧ h⁰ = ⊥` rests on the invariant `fˣ ∧ gˣ = ⊥`:
+/// the selection always tracks a point of at least one operand, pointwise
+/// under parameters too.
+///
 /// # Errors
 ///
 /// Fails on BDD resource-limit exhaustion.
@@ -51,54 +65,49 @@ pub fn union(m: &mut BddManager, space: &Space, f: &Bfv, g: &Bfv) -> Result<Bfv>
     let mut comps = Vec::with_capacity(n);
     for i in 0..n {
         let v = space.var(i);
+        let (fi, gi) = (f.component(i), g.component(i));
         // Fast path: while no operand is excluded and the components are
         // identical, the union component equals them and the exclusions
         // stay ⊥ (the support optimization of paper §3 — components that
         // do not depend on the variable being quantified are skipped).
-        if fx.is_false() && gx.is_false() && f.component(i) == g.component(i) {
-            comps.push(f.component(i));
+        if fx.is_false() && gx.is_false() && fi == gi {
+            comps.push(fi);
             continue;
         }
-        let cf = conditions_of(m, f.component(i), v)?;
-        let cg = conditions_of(m, g.component(i), v)?;
-        // h¹ = f¹g¹ ∨ f¹gˣ ∨ fˣg¹ ;  h⁰ symmetrically.
-        let h1 = three_way(m, cf.one, cg.one, fx, gx)?;
-        let h0 = three_way(m, cf.zero, cg.zero, fx, gx)?;
-        let forced = m.or(h1, h0)?;
-        let hc = m.not(forced);
-        let h = component_from_conditions(
-            m,
-            Conditions {
-                one: h1,
-                zero: h0,
-                choice: hc,
-            },
-            v,
-        )?;
+        debug_assert_eq!(
+            m.ite_constant(fx, gx, Bdd::FALSE),
+            Some(false),
+            "union exclusions must be disjoint at component {i}"
+        );
+        // Forced conditions: f¹ = f|v=0, f⁰ = ¬f|v=1.
+        let f1 = m.cofactor(fi, v, false)?;
+        let f0 = m.cofactor(fi, v, true)?;
+        let f0 = m.not(f0);
+        let g1 = m.cofactor(gi, v, false)?;
+        let g0 = m.cofactor(gi, v, true)?;
+        let g0 = m.not(g0);
+        let h1 = forced(m, f1, g1, fx, gx)?;
+        let h0 = forced(m, f0, g0, fx, gx)?;
+        let vv = m.var(v);
+        let nh0 = m.not(h0);
+        let h = m.ite(vv, nh0, h1)?;
         // Exclusion update: an operand drops out when the selected bit
         // contradicts its forced value.
-        let nh = m.not(h);
-        fx = exclude(m, fx, cf, h, nh)?;
-        gx = exclude(m, gx, cg, h, nh)?;
+        let df = m.ite(h, f0, f1)?;
+        let dg = m.ite(h, g0, g1)?;
+        fx = m.or(fx, df)?;
+        gx = m.or(gx, dg)?;
         comps.push(h);
     }
     Bfv::from_components(space, comps)
 }
 
-/// `a·b ∨ a·(other excluded) ∨ (own excluded)·b` for the union's forced
-/// conditions.
-fn three_way(m: &mut BddManager, a: Bdd, b: Bdd, ax: Bdd, bx: Bdd) -> Result<Bdd> {
-    let t1 = m.and(a, b)?;
-    let t2 = m.and(a, bx)?;
-    let t3 = m.and(ax, b)?;
-    m.or_all(&[t1, t2, t3]).map_err(Into::into)
-}
-
-/// `x' = x ∨ (forced0 ∧ h) ∨ (forced1 ∧ ¬h)`.
-fn exclude(m: &mut BddManager, x: Bdd, c: Conditions, h: Bdd, nh: Bdd) -> Result<Bdd> {
-    let z = m.and(c.zero, h)?;
-    let o = m.and(c.one, nh)?;
-    m.or_all(&[x, z, o]).map_err(Into::into)
+/// One forced condition of the union, `a·b ∨ a·bˣ ∨ aˣ·b`, as
+/// `ite(a, b ∨ bˣ, aˣ ∧ b)`.
+fn forced(m: &mut BddManager, a: Bdd, b: Bdd, ax: Bdd, bx: Bdd) -> Result<Bdd> {
+    let hi = m.or(b, bx)?;
+    let lo = m.and(ax, b)?;
+    m.ite(a, hi, lo).map_err(Into::into)
 }
 
 /// Set intersection `F ∩ G` (paper §2.4); `None` when empty.

@@ -88,16 +88,22 @@ pub fn reparameterize_with(
     let mut current = vec.clone();
     let mut remaining: Vec<Var> = params.to_vec();
     while !remaining.is_empty() {
-        let idx = match schedule {
-            Schedule::Fixed => 0,
-            Schedule::DynamicSupport => cheapest_param(m, &current, &remaining),
+        let (idx, dependent) = match schedule {
+            Schedule::Fixed => (0, None),
+            Schedule::DynamicSupport => {
+                let (idx, count) = cheapest_param(m, &current, &remaining);
+                (idx, Some(count > 0))
+            }
         };
         let p = remaining.swap_remove(idx);
-        // Support check: a parameter no component depends on is free.
-        let dependent = current
-            .components()
-            .iter()
-            .any(|&c| m.support(c).contains(p));
+        // Support check: a parameter no component depends on is free. The
+        // dynamic schedule has already counted the dependents.
+        let dependent = dependent.unwrap_or_else(|| {
+            current
+                .components()
+                .iter()
+                .any(|&c| m.support(c).contains(p))
+        });
         if !dependent {
             continue;
         }
@@ -108,8 +114,9 @@ pub fn reparameterize_with(
     Ok(current)
 }
 
-/// Index of the cheapest parameter to eliminate next.
-fn cheapest_param(m: &BddManager, vec: &Bfv, remaining: &[Var]) -> usize {
+/// Index of the cheapest parameter to eliminate next, with the number of
+/// components that depend on it.
+fn cheapest_param(m: &BddManager, vec: &Bfv, remaining: &[Var]) -> (usize, usize) {
     let supports: Vec<_> = vec.components().iter().map(|&c| m.support(c)).collect();
     let mut best = 0usize;
     let mut best_cost = (usize::MAX, usize::MAX);
@@ -130,7 +137,7 @@ fn cheapest_param(m: &BddManager, vec: &Bfv, remaining: &[Var]) -> usize {
             best = i;
         }
     }
-    best
+    (best, best_cost.0)
 }
 
 #[cfg(test)]

@@ -7,9 +7,10 @@
 use bfvr_bdd::{Bdd, BddManager, Var};
 use bfvr_bfv::convert::{from_characteristic, to_characteristic};
 use bfvr_bfv::reparam::{reparameterize_with, Schedule};
-use bfvr_bfv::{ops, Bfv, Space, StateSet};
+use bfvr_bfv::{ops, Bfv, Conditions, Space, StateSet};
 
 const N: usize = 4; // state bits
+const P: usize = 2; // parameters of a parameterized operand
 const CASES: u64 = 200;
 
 /// xorshift64* — deterministic, seedable, no dependencies.
@@ -305,4 +306,168 @@ fn permuted_component_order_still_canonical() {
         let g = ops::union(&mut m, &space, &f, &f).unwrap();
         assert_eq!(g.components(), f.components(), "case {case}");
     });
+}
+
+/// The §2.3 union as three separate condition terms, an explicit
+/// exclusion update and a reassembly from all three conditions: the
+/// differential reference for the fused per-component step of
+/// [`ops::union`].
+fn reference_union(m: &mut BddManager, space: &Space, f: &Bfv, g: &Bfv) -> Bfv {
+    /// `a·b ∨ a·bˣ ∨ aˣ·b`.
+    fn three_way(m: &mut BddManager, a: Bdd, b: Bdd, ax: Bdd, bx: Bdd) -> Bdd {
+        let t1 = m.and(a, b).unwrap();
+        let t2 = m.and(a, bx).unwrap();
+        let t3 = m.and(ax, b).unwrap();
+        m.or_all(&[t1, t2, t3]).unwrap()
+    }
+    /// `x ∨ (x⁰ ∧ h) ∨ (x¹ ∧ ¬h)`.
+    fn exclude(m: &mut BddManager, x: Bdd, c: Conditions, h: Bdd, nh: Bdd) -> Bdd {
+        let z = m.and(c.zero, h).unwrap();
+        let o = m.and(c.one, nh).unwrap();
+        m.or_all(&[x, z, o]).unwrap()
+    }
+    let mut fx = Bdd::FALSE;
+    let mut gx = Bdd::FALSE;
+    let mut comps = Vec::with_capacity(space.len());
+    for i in 0..space.len() {
+        if fx.is_false() && gx.is_false() && f.component(i) == g.component(i) {
+            comps.push(f.component(i));
+            continue;
+        }
+        let cf = f.conditions(m, space, i).unwrap();
+        let cg = g.conditions(m, space, i).unwrap();
+        let h1 = three_way(m, cf.one, cg.one, fx, gx);
+        let h0 = three_way(m, cf.zero, cg.zero, fx, gx);
+        // h = one ∨ (choice ∧ v) with choice = ¬(one ∨ zero).
+        let forced = m.or(h1, h0).unwrap();
+        let choice = m.not(forced);
+        let v = m.var(space.var(i));
+        let cv = m.and(choice, v).unwrap();
+        let h = m.or(h1, cv).unwrap();
+        let nh = m.not(h);
+        fx = exclude(m, fx, cf, h, nh);
+        gx = exclude(m, gx, cg, h, nh);
+        comps.push(h);
+    }
+    Bfv::from_components(space, comps).unwrap()
+}
+
+#[test]
+fn union_matches_reference_formula_on_canonical_operands() {
+    for_cases(0xBF0A, |case, rng| {
+        let (a, b) = (rng.mask(), rng.mask());
+        let mut m = BddManager::new(N as u32);
+        let space = Space::contiguous(N as u32);
+        let fa = set_of_mask(&mut m, &space, a).unwrap();
+        let fb = set_of_mask(&mut m, &space, b).unwrap();
+        let got = ops::union(&mut m, &space, &fa, &fb).unwrap();
+        let want = reference_union(&mut m, &space, &fa, &fb);
+        assert_eq!(
+            got.components(),
+            want.components(),
+            "case {case}: {a:#06x} ∪ {b:#06x}"
+        );
+    });
+}
+
+/// Where the parameter variables sit in the BDD order relative to the
+/// choice variables.
+#[derive(Clone, Copy, Debug)]
+enum ParamPlacement {
+    Above,
+    Below,
+    Interleaved,
+}
+
+/// `(choice variables, parameter variables)` of a manager with `N` choice
+/// and `P` parameter variables under `placement`.
+fn placed_vars(placement: ParamPlacement) -> (Vec<Var>, Vec<Var>) {
+    let all: Vec<Var> = (0..(N + P) as u32).map(Var).collect();
+    match placement {
+        ParamPlacement::Above => (all[P..].to_vec(), all[..P].to_vec()),
+        ParamPlacement::Below => (all[..N].to_vec(), all[N..].to_vec()),
+        // c p c p c c: parameters between the choice variables.
+        ParamPlacement::Interleaved => (vec![all[0], all[2], all[4], all[5]], vec![all[1], all[3]]),
+    }
+}
+
+/// A parameterized operand: for each of the `2^P` parameter assignments a
+/// random non-empty set, combined as `⋁_p (p-cube ∧ F_p)` so that the
+/// vector is canonical pointwise under the parameters. Returns the vector
+/// and the per-assignment masks.
+fn parameterized_operand(
+    m: &mut BddManager,
+    space: &Space,
+    params: &[Var],
+    rng: &mut Rng,
+) -> (Bfv, Vec<u16>) {
+    let mut comps = vec![Bdd::FALSE; N];
+    let mut masks = Vec::new();
+    for row in 0..1u32 << P {
+        // A few assignments share one set, so the cofactors coincide in
+        // some components and the union's fast path is taken too.
+        let mask = match masks.last() {
+            Some(&prev) if rng.below(4) == 0 => prev,
+            _ => rng.mask(),
+        };
+        masks.push(mask);
+        let f = set_of_mask(m, space, mask).unwrap();
+        let cube = param_cube(m, params, row);
+        for (i, c) in comps.iter_mut().enumerate() {
+            let t = m.and(cube, f.component(i)).unwrap();
+            *c = m.or(*c, t).unwrap();
+        }
+    }
+    (Bfv::from_components(space, comps).unwrap(), masks)
+}
+
+/// The minterm of parameter assignment `row` (parameter 0 as the MSB).
+fn param_cube(m: &mut BddManager, params: &[Var], row: u32) -> Bdd {
+    let mut cube = Bdd::TRUE;
+    for (j, &p) in params.iter().enumerate() {
+        let bit = (row >> (params.len() - 1 - j)) & 1 == 1;
+        let lit = if bit { m.var(p) } else { m.nvar(p) };
+        cube = m.and(cube, lit).unwrap();
+    }
+    cube
+}
+
+#[test]
+fn union_matches_reference_formula_on_parameterized_operands() {
+    for placement in [
+        ParamPlacement::Above,
+        ParamPlacement::Below,
+        ParamPlacement::Interleaved,
+    ] {
+        for_cases(0xBF0B, |case, rng| {
+            let mut m = BddManager::new((N + P) as u32);
+            let (choice, params) = placed_vars(placement);
+            let space = Space::new(choice).unwrap();
+            let (fa, ma) = parameterized_operand(&mut m, &space, &params, rng);
+            let (fb, mb) = parameterized_operand(&mut m, &space, &params, rng);
+            let got = ops::union(&mut m, &space, &fa, &fb).unwrap();
+            let want = reference_union(&mut m, &space, &fa, &fb);
+            assert_eq!(
+                got.components(),
+                want.components(),
+                "{placement:?} case {case}"
+            );
+            // Pointwise under the parameters: each assignment's slice is
+            // the canonical vector of the union of that assignment's sets.
+            for row in 0..1u32 << P {
+                let mut slice = got.clone();
+                for (j, &p) in params.iter().enumerate() {
+                    let bit = (row >> (P - 1 - j)) & 1 == 1;
+                    slice = ops::cofactor(&mut m, &space, &slice, p, bit).unwrap();
+                }
+                let expect =
+                    set_of_mask(&mut m, &space, ma[row as usize] | mb[row as usize]).unwrap();
+                assert_eq!(
+                    slice.components(),
+                    expect.components(),
+                    "{placement:?} case {case} row {row}"
+                );
+            }
+        });
+    }
 }

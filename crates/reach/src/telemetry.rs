@@ -105,6 +105,11 @@ fn cache_counter_names(name: &str) -> Option<(&'static str, &'static str, &'stat
             "cache.restrict.hits",
             "cache.restrict.entries",
         ),
+        "cofactor" => (
+            "cache.cofactor.lookups",
+            "cache.cofactor.hits",
+            "cache.cofactor.entries",
+        ),
         "subst" => (
             "cache.subst.lookups",
             "cache.subst.hits",
