@@ -25,7 +25,7 @@ impl BddManager {
     }
 
     /// The memoized ITE recursion behind every connective.
-    fn ite_rec(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Result<Bdd> {
+    pub(crate) fn ite_rec(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Result<Bdd> {
         // Terminal cases.
         if f.is_true() || g == h {
             return Ok(g);
@@ -69,7 +69,7 @@ impl BddManager {
             g = g.complement();
             h = h.complement();
         }
-        let key = (f.0, g.0, h.0);
+        let key = [f.0, g.0, h.0];
         if let Some(r) = self.caches.ite.get(key) {
             return Ok(if neg { r.complement() } else { r });
         }

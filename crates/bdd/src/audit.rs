@@ -381,21 +381,20 @@ impl BddManager {
     pub fn audit_cache_residue(&self) -> Vec<GraphIssue> {
         let mut issues = Vec::new();
         for (name, cache) in self.caches.named() {
-            for ((a, b, c), r) in cache.entries() {
-                for edge in [a, b, c, r] {
-                    let slot = edge >> 1;
-                    if !self.arena.is_live_slot(slot) {
-                        issues.push(GraphIssue {
-                            kind: GraphIssueKind::CacheResidue,
-                            slot,
-                            detail: format!(
-                                "{name} cache entry ({a}, {b}, {c}) → {r} references a freed slot"
-                            ),
-                        });
-                        break; // one issue per entry is enough
-                    }
+            cache.for_each_entry(&mut |key, r| {
+                // Every key word and the result; one issue per entry is enough.
+                let dead = key
+                    .iter()
+                    .chain([&r])
+                    .find(|&&e| !self.arena.is_live_slot(e >> 1));
+                if let Some(&edge) = dead {
+                    issues.push(GraphIssue {
+                        kind: GraphIssueKind::CacheResidue,
+                        slot: edge >> 1,
+                        detail: format!("{name} cache entry {key:?} → {r} references a freed slot"),
+                    });
                 }
-            }
+            });
         }
         issues
     }

@@ -35,33 +35,34 @@ const MIN_SLOTS: usize = 1 << 8;
 /// [`crate::BddManager::set_cache_limit`]).
 pub(crate) const DEFAULT_CACHE_LIMIT: usize = 1 << 22;
 
-/// One direct-mapped slot: the three key words, the memoized result and
-/// the generation stamp that says which `clear` epoch wrote it.
+/// One direct-mapped slot: the `K` key words, the memoized result and
+/// the generation stamp that says which `clear` epoch wrote it (20 bytes
+/// for the three-word caches, 24 for the four-word ones).
 #[derive(Clone, Copy, Debug)]
-struct Slot {
-    a: u32,
-    b: u32,
-    c: u32,
+struct Slot<const K: usize> {
+    key: [u32; K],
     result: u32,
     stamp: u32,
 }
 
-const EMPTY_SLOT: Slot = Slot {
-    a: 0,
-    b: 0,
-    c: 0,
-    result: 0,
-    stamp: 0,
-};
+impl<const K: usize> Slot<K> {
+    const EMPTY: Self = Slot {
+        key: [0; K],
+        result: 0,
+        stamp: 0,
+    };
+}
 
-/// Mixes a key triple into a slot hash (Fx multiply-rotate over the three
-/// words; the *high* bits of the product are the well-mixed ones, so slot
-/// selection shifts from the top).
+/// Mixes a key into a slot hash (Fx multiply-rotate over the words; the
+/// *high* bits of the product are the well-mixed ones, so slot selection
+/// shifts from the top).
 #[inline]
-fn mix(a: u32, b: u32, c: u32) -> u64 {
-    let mut h = u64::from(a).wrapping_mul(SEED);
-    h = (h.rotate_left(5) ^ u64::from(b)).wrapping_mul(SEED);
-    (h.rotate_left(5) ^ u64::from(c)).wrapping_mul(SEED)
+fn mix<const K: usize>(key: &[u32; K]) -> u64 {
+    let mut h = u64::from(key[0]).wrapping_mul(SEED);
+    for &w in &key[1..] {
+        h = (h.rotate_left(5) ^ u64::from(w)).wrapping_mul(SEED);
+    }
+    h
 }
 
 /// Per-operation cache counters, as reported by
@@ -82,10 +83,11 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
-/// One operation's lossy direct-mapped memo table plus lifetime counters.
+/// One operation's lossy direct-mapped memo table over `K`-word keys,
+/// plus lifetime counters.
 #[derive(Debug, Default)]
-pub(crate) struct OpCache {
-    slots: Vec<Slot>,
+pub(crate) struct OpCache<const K: usize = 3> {
+    slots: Vec<Slot<K>>,
     /// `log2(slots.len())`, cached for top-bit slot selection.
     shift: u32,
     /// The current generation; a slot is live iff `stamp == generation`.
@@ -97,20 +99,20 @@ pub(crate) struct OpCache {
     hits: u64,
 }
 
-impl OpCache {
+impl<const K: usize> OpCache<K> {
     #[inline]
-    fn slot_of(&self, a: u32, b: u32, c: u32) -> usize {
-        (mix(a, b, c) >> (64 - self.shift)) as usize
+    fn slot_of(&self, key: &[u32; K]) -> usize {
+        (mix(key) >> (64 - self.shift)) as usize
     }
 
     #[inline]
-    pub fn get(&mut self, key: (u32, u32, u32)) -> Option<Bdd> {
+    pub fn get(&mut self, key: [u32; K]) -> Option<Bdd> {
         self.lookups += 1;
         if self.slots.is_empty() {
             return None;
         }
-        let s = self.slots[self.slot_of(key.0, key.1, key.2)];
-        if s.stamp == self.generation && (s.a, s.b, s.c) == key {
+        let s = self.slots[self.slot_of(&key)];
+        if s.stamp == self.generation && s.key == key {
             self.hits += 1;
             Some(Bdd(s.result))
         } else {
@@ -123,19 +125,17 @@ impl OpCache {
     /// rehashing its live entries — once resident entries pass 3/4 of the
     /// slots, until `limit` slots.
     #[inline]
-    pub fn put(&mut self, key: (u32, u32, u32), val: Bdd, limit: usize) {
+    pub fn put(&mut self, key: [u32; K], val: Bdd, limit: usize) {
         if self.slots.is_empty() || (self.live * 4 >= self.slots.len() * 3 && !self.at_cap(limit)) {
             self.grow(limit);
         }
-        let i = self.slot_of(key.0, key.1, key.2);
+        let i = self.slot_of(&key);
         let s = &mut self.slots[i];
         if s.stamp != self.generation {
             self.live += 1;
         }
         *s = Slot {
-            a: key.0,
-            b: key.1,
-            c: key.2,
+            key,
             result: val.0,
             stamp: self.generation,
         };
@@ -157,14 +157,14 @@ impl OpCache {
         if new_len <= self.slots.len() {
             return;
         }
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; new_len]);
+        let old = std::mem::replace(&mut self.slots, vec![Slot::EMPTY; new_len]);
         let generation = self.generation.max(1);
         self.generation = generation;
         self.shift = new_len.trailing_zeros();
         self.live = 0;
         for s in old {
             if s.stamp == generation {
-                let i = self.slot_of(s.a, s.b, s.c);
+                let i = self.slot_of(&s.key);
                 if self.slots[i].stamp != generation {
                     self.live += 1;
                 }
@@ -178,7 +178,7 @@ impl OpCache {
     pub fn apply_limit(&mut self, limit: usize) {
         let cap = limit.next_power_of_two().max(MIN_SLOTS);
         if self.slots.len() > cap {
-            self.slots = vec![EMPTY_SLOT; cap];
+            self.slots = vec![Slot::EMPTY; cap];
             self.shift = cap.trailing_zeros();
             self.generation = 1;
             self.live = 0;
@@ -190,7 +190,7 @@ impl OpCache {
     pub fn clear(&mut self) {
         if self.generation == u32::MAX {
             // Stamp wrap: do the one-in-4-billion full wipe.
-            self.slots.fill(EMPTY_SLOT);
+            self.slots.fill(Slot::EMPTY);
             self.generation = 1;
         } else {
             self.generation += 1;
@@ -199,18 +199,18 @@ impl OpCache {
     }
 
     /// Resident entries, for the cache-residue audit: `(key, result)`
-    /// pairs where every component is a raw edge word (or a literal 0,
-    /// which reads as the always-live terminal edge).
-    pub fn entries(&self) -> impl Iterator<Item = ((u32, u32, u32), u32)> + '_ {
+    /// pairs where every word is a raw edge word (or a literal 0, which
+    /// reads as the always-live terminal edge).
+    pub fn entries(&self) -> impl Iterator<Item = ([u32; K], u32)> + '_ {
         self.slots
             .iter()
             .filter(|s| s.stamp == self.generation && self.generation != 0)
-            .map(|s| ((s.a, s.b, s.c), s.result))
+            .map(|s| (s.key, s.result))
     }
 
     /// Resident bytes behind the slot array.
     pub fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Slot>()
+        self.slots.len() * std::mem::size_of::<Slot<K>>()
     }
 
     fn stats(&self, name: &'static str) -> CacheStats {
@@ -221,6 +221,36 @@ impl OpCache {
             entries: self.live,
             capacity: self.slots.len(),
             bytes: self.bytes(),
+        }
+    }
+}
+
+/// A cache of any key width, as the manager-wide loops (flush, cap,
+/// counters, residue audit) see it.
+pub(crate) trait AnyCache {
+    fn clear(&mut self);
+    fn apply_limit(&mut self, limit: usize);
+    fn stats(&self, name: &'static str) -> CacheStats;
+    /// Calls `f` with the key words and result of every resident entry.
+    fn for_each_entry(&self, f: &mut dyn FnMut(&[u32], u32));
+}
+
+impl<const K: usize> AnyCache for OpCache<K> {
+    fn clear(&mut self) {
+        OpCache::clear(self);
+    }
+
+    fn apply_limit(&mut self, limit: usize) {
+        OpCache::apply_limit(self, limit);
+    }
+
+    fn stats(&self, name: &'static str) -> CacheStats {
+        OpCache::stats(self, name)
+    }
+
+    fn for_each_entry(&self, f: &mut dyn FnMut(&[u32], u32)) {
+        for (key, r) in self.entries() {
+            f(&key, r);
         }
     }
 }
@@ -241,6 +271,11 @@ pub(crate) struct Caches {
     /// fresh scope with an O(1) `clear`, because memoized results are
     /// valid only for that call's map.
     pub subst: OpCache,
+    /// The §2.3 union's forced-condition kernel, keyed on `(a, b, aˣ, bˣ)`.
+    pub union_forced: OpCache<4>,
+    /// The §2.3 union's exclusion-update kernel, keyed on `(x, h, x⁰, x¹)`
+    /// with `h` regular.
+    pub union_exclude: OpCache<4>,
     /// Per-cache slot cap (rounded up to a power of two on use).
     pub limit: usize,
 }
@@ -255,11 +290,13 @@ impl Caches {
             restrict: OpCache::default(),
             cofactor: OpCache::default(),
             subst: OpCache::default(),
+            union_forced: OpCache::default(),
+            union_exclude: OpCache::default(),
             limit: DEFAULT_CACHE_LIMIT,
         }
     }
 
-    fn all_mut(&mut self) -> [&mut OpCache; 7] {
+    fn all_mut(&mut self) -> [&mut dyn AnyCache; 9] {
         [
             &mut self.ite,
             &mut self.exists,
@@ -268,6 +305,8 @@ impl Caches {
             &mut self.restrict,
             &mut self.cofactor,
             &mut self.subst,
+            &mut self.union_forced,
+            &mut self.union_exclude,
         ]
     }
 
@@ -289,19 +328,19 @@ impl Caches {
 
     /// Lifetime totals across all operations: `(lookups, hits)`.
     pub fn totals(&self) -> (u64, u64) {
-        let all = self.named();
-        let lookups = all.iter().map(|(_, c)| c.lookups).sum();
-        let hits = all.iter().map(|(_, c)| c.hits).sum();
-        (lookups, hits)
+        self.named()
+            .iter()
+            .map(|(n, c)| c.stats(n))
+            .fold((0, 0), |(l, h), s| (l + s.lookups, h + s.hits))
     }
 
     /// Resident bytes across all operation caches' slot arrays.
     pub fn bytes(&self) -> usize {
-        self.named().iter().map(|(_, c)| c.bytes()).sum()
+        self.named().iter().map(|(n, c)| c.stats(n).bytes).sum()
     }
 
     /// All caches with their operation names, for the cache-residue audit.
-    pub fn named(&self) -> [(&'static str, &OpCache); 7] {
+    pub fn named(&self) -> [(&'static str, &dyn AnyCache); 9] {
         [
             ("ite", &self.ite),
             ("exists", &self.exists),
@@ -310,6 +349,8 @@ impl Caches {
             ("restrict", &self.restrict),
             ("cofactor", &self.cofactor),
             ("subst", &self.subst),
+            ("union_forced", &self.union_forced),
+            ("union_exclude", &self.union_exclude),
         ]
     }
 
@@ -325,33 +366,33 @@ mod tests {
 
     #[test]
     fn get_put_and_counters() {
-        let mut c = OpCache::default();
-        assert_eq!(c.get((1, 2, 3)), None);
-        c.put((1, 2, 3), Bdd(8), 16);
-        assert_eq!(c.get((1, 2, 3)), Some(Bdd(8)));
+        let mut c: OpCache = OpCache::default();
+        assert_eq!(c.get([1, 2, 3]), None);
+        c.put([1, 2, 3], Bdd(8), 16);
+        assert_eq!(c.get([1, 2, 3]), Some(Bdd(8)));
         let s = c.stats("t");
         assert_eq!((s.lookups, s.hits, s.entries), (2, 1, 1));
         assert!(s.capacity >= MIN_SLOTS);
-        assert_eq!(s.bytes, s.capacity * std::mem::size_of::<Slot>());
+        assert_eq!(s.bytes, s.capacity * std::mem::size_of::<Slot<3>>());
     }
 
     #[test]
     fn clear_is_a_generation_bump_that_keeps_counters() {
-        let mut c = OpCache::default();
-        c.put((1, 0, 0), Bdd(2), 16);
-        c.put((2, 0, 0), Bdd(4), 16);
+        let mut c: OpCache = OpCache::default();
+        c.put([1, 0, 0], Bdd(2), 16);
+        c.put([2, 0, 0], Bdd(4), 16);
         let cap = c.stats("t").capacity;
         c.clear();
-        assert_eq!(c.get((1, 0, 0)), None);
-        assert_eq!(c.get((2, 0, 0)), None);
+        assert_eq!(c.get([1, 0, 0]), None);
+        assert_eq!(c.get([2, 0, 0]), None);
         let s = c.stats("t");
         assert_eq!(s.entries, 0);
         assert_eq!(s.capacity, cap, "clear must not deallocate");
         assert_eq!(s.lookups, 2, "clearing keeps counters");
         assert_eq!(c.entries().count(), 0, "stale stamps are not resident");
         // The cleared table is immediately usable again.
-        c.put((1, 0, 0), Bdd(6), 16);
-        assert_eq!(c.get((1, 0, 0)), Some(Bdd(6)));
+        c.put([1, 0, 0], Bdd(6), 16);
+        assert_eq!(c.get([1, 0, 0]), Some(Bdd(6)));
     }
 
     #[test]
@@ -359,15 +400,15 @@ mod tests {
         // Direct-mapped with a minimum-size table: by pigeonhole, some of
         // these keys collide. Whatever happens, a lookup must return
         // either the exact value stored for that key or a miss.
-        let mut c = OpCache::default();
+        let mut c: OpCache = OpCache::default();
         let n = (MIN_SLOTS * 4) as u32;
         for k in 0..n {
-            c.put((k, k ^ 7, 3), Bdd(k << 1), MIN_SLOTS);
+            c.put([k, k ^ 7, 3], Bdd(k << 1), MIN_SLOTS);
         }
         let mut hits = 0;
         for k in 0..n {
             // A miss means the entry was evicted; the caller recomputes.
-            if let Some(v) = c.get((k, k ^ 7, 3)) {
+            if let Some(v) = c.get([k, k ^ 7, 3]) {
                 assert_eq!(v, Bdd(k << 1), "evicted entry served a wrong result");
                 hits += 1;
             }
@@ -382,36 +423,63 @@ mod tests {
 
     #[test]
     fn growth_rehashes_live_entries() {
-        let mut c = OpCache::default();
+        let mut c: OpCache = OpCache::default();
         let n = (MIN_SLOTS * 2) as u32;
         for k in 0..n {
-            c.put((k, 1, 2), Bdd(k << 1), DEFAULT_CACHE_LIMIT);
+            c.put([k, 1, 2], Bdd(k << 1), DEFAULT_CACHE_LIMIT);
         }
         // Well past MIN_SLOTS: the table must have grown…
         assert!(c.stats("t").capacity > MIN_SLOTS);
         // …and a freshly-inserted spread of keys survives mostly intact
         // (growth rehashes; only genuine collisions are lost).
-        let retained = (0..n).filter(|&k| c.get((k, 1, 2)).is_some()).count();
+        let retained = (0..n).filter(|&k| c.get([k, 1, 2]).is_some()).count();
         assert!(retained as u32 > n / 2, "retained only {retained}/{n}");
     }
 
     #[test]
     fn entries_enumerates_exactly_the_resident_generation() {
-        let mut c = OpCache::default();
-        c.put((1, 2, 3), Bdd(8), 64);
-        c.put((4, 5, 6), Bdd(10), 64);
+        let mut c: OpCache = OpCache::default();
+        c.put([1, 2, 3], Bdd(8), 64);
+        c.put([4, 5, 6], Bdd(10), 64);
         let mut got: Vec<_> = c.entries().collect();
         got.sort_unstable();
-        assert_eq!(got, vec![((1, 2, 3), 8), ((4, 5, 6), 10)]);
+        assert_eq!(got, vec![([1, 2, 3], 8), ([4, 5, 6], 10)]);
         c.clear();
-        c.put((7, 8, 9), Bdd(12), 64);
+        c.put([7, 8, 9], Bdd(12), 64);
         let got: Vec<_> = c.entries().collect();
-        assert_eq!(got, vec![((7, 8, 9), 12)]);
+        assert_eq!(got, vec![([7, 8, 9], 12)]);
+    }
+
+    #[test]
+    fn three_word_slots_and_hash_are_unchanged() {
+        assert_eq!(std::mem::size_of::<Slot<3>>(), 20);
+        assert_eq!(std::mem::size_of::<Slot<4>>(), 24);
+        // The Fx fold over three words, written out: the widening to `K`
+        // words must not move a three-word key to another slot.
+        let (a, b, c) = (7u32, 0x8000_0001u32, 42u32);
+        let mut h = u64::from(a).wrapping_mul(SEED);
+        h = (h.rotate_left(5) ^ u64::from(b)).wrapping_mul(SEED);
+        h = (h.rotate_left(5) ^ u64::from(c)).wrapping_mul(SEED);
+        assert_eq!(mix(&[a, b, c]), h);
+    }
+
+    #[test]
+    fn four_word_keys_compare_every_word() {
+        let mut c: OpCache<4> = OpCache::default();
+        c.put([1, 2, 3, 4], Bdd(6), 64);
+        assert_eq!(
+            c.get([1, 2, 3, 5]),
+            None,
+            "the fourth word is part of the key"
+        );
+        assert_eq!(c.get([1, 2, 3, 4]), Some(Bdd(6)));
+        assert_eq!(c.entries().collect::<Vec<_>>(), vec![([1, 2, 3, 4], 6)]);
+        assert_eq!(c.bytes(), c.stats("t").capacity * 24);
     }
 
     #[test]
     fn fresh_cache_has_no_entries_and_no_bytes() {
-        let c = OpCache::default();
+        let c: OpCache = OpCache::default();
         assert_eq!(c.entries().count(), 0);
         assert_eq!(c.bytes(), 0);
         assert_eq!(c.stats("t").capacity, 0);
@@ -419,26 +487,26 @@ mod tests {
 
     #[test]
     fn apply_limit_shrinks_an_oversized_table() {
-        let mut c = OpCache::default();
+        let mut c: OpCache = OpCache::default();
         for k in 0..(MIN_SLOTS * 4) as u32 {
-            c.put((k, 0, 0), Bdd(2), DEFAULT_CACHE_LIMIT);
+            c.put([k, 0, 0], Bdd(2), DEFAULT_CACHE_LIMIT);
         }
         assert!(c.stats("t").capacity > MIN_SLOTS);
         c.apply_limit(MIN_SLOTS);
         assert_eq!(c.stats("t").capacity, MIN_SLOTS);
         assert_eq!(c.stats("t").entries, 0, "shrinking drops entries");
-        c.put((1, 0, 0), Bdd(2), MIN_SLOTS);
-        assert_eq!(c.get((1, 0, 0)), Some(Bdd(2)));
+        c.put([1, 0, 0], Bdd(2), MIN_SLOTS);
+        assert_eq!(c.get([1, 0, 0]), Some(Bdd(2)));
     }
 
     #[test]
     fn caches_aggregate_totals() {
         let mut cs = Caches::new();
-        cs.ite.put((0, 0, 0), Bdd(2), cs.limit);
-        let _ = cs.ite.get((0, 0, 0));
-        let _ = cs.exists.get((9, 9, 9));
+        cs.ite.put([0, 0, 0], Bdd(2), cs.limit);
+        let _ = cs.ite.get([0, 0, 0]);
+        let _ = cs.exists.get([9, 9, 9]);
         assert_eq!(cs.totals(), (2, 1));
-        assert_eq!(cs.stats().len(), 7);
+        assert_eq!(cs.stats().len(), 9);
         assert!(cs.bytes() > 0);
         cs.clear_all();
         assert_eq!(cs.stats()[0].entries, 0);
@@ -449,7 +517,7 @@ mod tests {
     fn set_limit_caps_every_cache() {
         let mut cs = Caches::new();
         for k in 0..(MIN_SLOTS * 4) as u32 {
-            cs.ite.put((k, 0, 0), Bdd(2), cs.limit);
+            cs.ite.put([k, 0, 0], Bdd(2), cs.limit);
         }
         cs.set_limit(MIN_SLOTS);
         assert_eq!(cs.limit, MIN_SLOTS);

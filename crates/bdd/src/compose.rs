@@ -50,7 +50,7 @@ impl BddManager {
         // node share one entry keyed on the regular edge.
         let reg = f.regular();
         let neg = f.is_complemented();
-        let key = (reg.0, lit, 0);
+        let key = [reg.0, lit, 0];
         if let Some(r) = self.caches.cofactor.get(key) {
             return Ok(if neg { r.complement() } else { r });
         }
@@ -117,7 +117,7 @@ impl BddManager {
         // node share one scope entry keyed on the regular edge.
         let reg = f.regular();
         let neg = f.is_complemented();
-        let key = (reg.0, 0, 0);
+        let key = [reg.0, 0, 0];
         if let Some(r) = self.caches.subst.get(key) {
             return Ok(if neg { r.complement() } else { r });
         }

@@ -64,7 +64,7 @@ impl BddManager {
             let r = self.constrain_rec(f.complement(), c)?;
             return Ok(r.complement());
         }
-        let key = (f.0, c.0, 0);
+        let key = [f.0, c.0, 0];
         if let Some(r) = self.caches.constrain.get(key) {
             return Ok(r);
         }
@@ -121,7 +121,7 @@ impl BddManager {
             let r = self.restrict_rec(f.complement(), c)?;
             return Ok(r.complement());
         }
-        let key = (f.0, c.0, 0);
+        let key = [f.0, c.0, 0];
         if let Some(r) = self.caches.restrict.get(key) {
             return Ok(r);
         }

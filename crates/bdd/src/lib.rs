@@ -101,6 +101,7 @@ mod node;
 mod quant;
 mod sift;
 mod transfer;
+mod union;
 mod unique;
 pub mod zdd;
 

@@ -84,7 +84,7 @@ impl BddManager {
         if cube.is_true() {
             return Ok(f);
         }
-        let key = (f.0, cube.0, 0);
+        let key = [f.0, cube.0, 0];
         if let Some(r) = self.caches.exists.get(key) {
             return Ok(r);
         }
@@ -166,7 +166,7 @@ impl BddManager {
         } else {
             (g, f)
         };
-        let key = (f.0, g.0, cube.0);
+        let key = [f.0, g.0, cube.0];
         if let Some(r) = self.caches.and_exists.get(key) {
             return Ok(r);
         }

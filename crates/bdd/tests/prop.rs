@@ -536,3 +536,177 @@ fn cofactor_memo_is_flushed_by_gc_and_reorder() {
         m.check_invariants().unwrap();
     });
 }
+
+/// Four operands for a union kernel: random functions, with constants,
+/// complements and repeats of earlier operands mixed in so every
+/// terminal rule is reached. Nothing ties the operands together — in
+/// particular the two exclusions may overlap.
+fn kernel_operands(rng: &mut Rng) -> [Expr; 4] {
+    let mut ops: Vec<Expr> = Vec::with_capacity(4);
+    for _ in 0..4 {
+        let e = match rng.below(6) {
+            0 => Expr::Const(rng.flip()),
+            1 if !ops.is_empty() => {
+                let prev = ops[rng.below(ops.len() as u64) as usize].clone();
+                if rng.flip() {
+                    Expr::Not(Box::new(prev))
+                } else {
+                    prev
+                }
+            }
+            _ => Expr::random(rng, NVARS, 4),
+        };
+        ops.push(e);
+    }
+    ops.try_into().unwrap()
+}
+
+/// The composed reference formulas the kernels replace:
+/// `ite(a, b ∨ bˣ, aˣ ∧ b)` and `x ∨ ite(h, x⁰, x¹)`.
+fn composed_forced(m: &mut BddManager, [a, b, ax, bx]: [Bdd; 4]) -> Bdd {
+    let hi = m.or(b, bx).unwrap();
+    let lo = m.and(ax, b).unwrap();
+    m.ite(a, hi, lo).unwrap()
+}
+
+fn composed_exclude(m: &mut BddManager, [x, h, x0, x1]: [Bdd; 4]) -> Bdd {
+    let d = m.ite(h, x0, x1).unwrap();
+    m.or(x, d).unwrap()
+}
+
+/// Both kernels on `ops`, each checked against the truth table of its
+/// formula over the operand expressions.
+fn assert_kernels(m: &mut BddManager, es: &[Expr; 4], ops: [Bdd; 4], what: &str) -> [Bdd; 2] {
+    let [a, b, ax, bx] = ops;
+    let forced = m.union_forced(a, b, ax, bx).unwrap();
+    let exclude = m.union_exclude(a, b, ax, bx).unwrap();
+    for asg in assignments() {
+        let [va, vb, vax, vbx] = [0, 1, 2, 3].map(|i| es[i].eval(&asg));
+        let f = if va { vb || vbx } else { vax && vb };
+        let x = va || if vb { vax } else { vbx };
+        assert_eq!(m.eval(forced, &asg), f, "{what}: union_forced");
+        assert_eq!(m.eval(exclude, &asg), x, "{what}: union_exclude");
+    }
+    [forced, exclude]
+}
+
+/// `(lookups, hits)` summed over the two union-kernel caches.
+fn kernel_caches(m: &BddManager) -> (u64, u64) {
+    m.cache_stats()
+        .iter()
+        .filter(|c| c.name == "union_forced" || c.name == "union_exclude")
+        .fold((0, 0), |(l, h), c| (l + c.lookups, h + c.hits))
+}
+
+#[test]
+fn union_kernels_match_the_composed_formulas() {
+    let mut kernel_lookups = 0;
+    for_cases(0xB011, |case, rng| {
+        let es = kernel_operands(rng);
+        let mut m = BddManager::new(NVARS);
+        let ops = es.clone().map(|e| e.build(&mut m));
+        let before = kernel_caches(&m).0;
+        let [forced, exclude] = assert_kernels(&mut m, &es, ops, &format!("case {case}"));
+        kernel_lookups += kernel_caches(&m).0 - before;
+        // Same Boolean function, so the same canonical node.
+        assert_eq!(forced, composed_forced(&mut m, ops), "case {case}");
+        assert_eq!(exclude, composed_exclude(&mut m, ops), "case {case}");
+        // The exclusion kernel folds h and ¬h onto one entry by swapping
+        // the branches: both spellings must agree.
+        let [x, h, x0, x1] = ops;
+        let nh = m.not(h);
+        assert_eq!(
+            m.union_exclude(x, nh, x1, x0).unwrap(),
+            exclude,
+            "case {case} ¬h"
+        );
+    });
+    assert!(kernel_lookups > 0, "no case reached a kernel recursion");
+}
+
+#[test]
+fn repeated_union_kernel_call_makes_no_nodes() {
+    let mut served = 0;
+    for_cases(0xB012, |case, rng| {
+        let es = kernel_operands(rng);
+        let mut m = BddManager::new(NVARS);
+        let [a, b, c, d] = es.map(|e| e.build(&mut m));
+        let first = [
+            m.union_forced(a, b, c, d).unwrap(),
+            m.union_exclude(a, b, c, d).unwrap(),
+        ];
+        let mk = m.stats().mk_calls;
+        let (lookups, hits) = kernel_caches(&m);
+        let again = [
+            m.union_forced(a, b, c, d).unwrap(),
+            m.union_exclude(a, b, c, d).unwrap(),
+        ];
+        assert_eq!(again, first, "case {case}");
+        assert_eq!(m.stats().mk_calls, mk, "case {case}: repeat made nodes");
+        let (l2, h2) = kernel_caches(&m);
+        assert_eq!(l2 - lookups, h2 - hits, "case {case}: repeat missed");
+        served += h2 - hits;
+    });
+    assert!(served > 0, "no case exercised the kernel memos");
+}
+
+#[test]
+fn union_kernel_memos_are_flushed_by_gc_and_reorder() {
+    for_cases(0xB013, |case, rng| {
+        let mut m = BddManager::new(NVARS);
+        let keep = kernel_operands(rng);
+        let drop_ = kernel_operands(rng);
+        let kept = keep.clone().map(|e| e.build(&mut m));
+        let dropped = drop_.clone().map(|e| e.build(&mut m));
+        let _ = assert_kernels(&mut m, &keep, kept, &format!("case {case}"));
+        let _ = assert_kernels(&mut m, &drop_, dropped, &format!("case {case}"));
+        // Free everything but the kept operands; fresh functions may then
+        // reuse the freed slots.
+        m.collect_garbage(&kept);
+        assert!(m.audit_cache_residue().is_empty(), "case {case} after GC");
+        let fresh = kernel_operands(rng);
+        let built = fresh.clone().map(|e| e.build(&mut m));
+        let _ = assert_kernels(&mut m, &keep, kept, &format!("case {case} gc kept"));
+        let _ = assert_kernels(&mut m, &fresh, built, &format!("case {case} gc fresh"));
+        // Reverse the order by level swaps.
+        let reversed: Vec<u32> = (0..NVARS).rev().collect();
+        let mut roots = kept.to_vec();
+        roots.extend(built);
+        m.reorder_to(&reversed, &roots).unwrap();
+        assert!(
+            m.audit_cache_residue().is_empty(),
+            "case {case} after swaps"
+        );
+        let _ = assert_kernels(&mut m, &keep, kept, &format!("case {case} swap kept"));
+        let _ = assert_kernels(&mut m, &fresh, built, &format!("case {case} swap fresh"));
+        m.check_invariants().unwrap();
+    });
+}
+
+#[test]
+fn freed_fourth_key_word_is_cache_residue() {
+    // Each kernel leaves exactly one four-word entry here, and only its
+    // fourth key word references n = v3 ∧ v4: the other words are
+    // literals and the result is a fresh node above them.
+    for (name, call) in [
+        (
+            "union_forced",
+            BddManager::union_forced as fn(&mut BddManager, Bdd, Bdd, Bdd, Bdd) -> _,
+        ),
+        ("union_exclude", BddManager::union_exclude),
+    ] {
+        let mut m = BddManager::new(NVARS);
+        let [v0, v1, v2, v3, v4] = [0, 1, 2, 3, 4].map(|v| m.var(Var(v)));
+        let n = m.and(v3, v4).unwrap();
+        let _ = call(&mut m, v0, v1, v2, n).unwrap();
+        assert!(m.audit_cache_residue().is_empty(), "{name}: clean before");
+        m.corrupt_for_audit(n, bfvr_bdd::Corruption::FreeLiveSlot);
+        let issues = m.audit_cache_residue();
+        assert!(
+            issues
+                .iter()
+                .any(|i| i.slot == n.index() >> 1 && i.detail.starts_with(name)),
+            "{name}: residue under the fourth key word not reported: {issues:?}"
+        );
+    }
+}

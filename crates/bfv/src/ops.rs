@@ -41,15 +41,16 @@ use crate::{Result, Space};
 /// if it is forced to that value in both operands, or in the only operand
 /// not yet excluded.
 ///
-/// Each component is one fused step over the forced conditions
+/// Each component is five BDD recursions over the forced conditions
 /// `f¹ = f|v=0` and `f⁰ = ¬f|v=1` (the free-choice condition is never
 /// needed):
 ///
-/// * `h¹ = f¹g¹ ∨ f¹gˣ ∨ fˣg¹ = ite(f¹, g¹ ∨ gˣ, fˣ ∧ g¹)`, `h⁰` alike;
+/// * `h¹ = f¹g¹ ∨ f¹gˣ ∨ fˣg¹ = ite(f¹, g¹ ∨ gˣ, fˣ ∧ g¹)`, `h⁰` alike,
+///   each one fused kernel ([`BddManager::union_forced`]);
 /// * `h = ite(v, ¬h⁰, h¹)`, which is `h¹ ∨ (¬h¹ ∧ ¬h⁰ ∧ v)` because
 ///   `h¹ ∧ h⁰ = ⊥`;
 /// * `x' = x ∨ ite(h, x⁰, x¹)` for each operand's exclusion `x` with its
-///   forced conditions `x¹, x⁰`.
+///   forced conditions `x¹, x⁰` ([`BddManager::union_exclude`]).
 ///
 /// The disjointness `h¹ ∧ h⁰ = ⊥` rests on the invariant `fˣ ∧ gˣ = ⊥`:
 /// the selection always tracks a point of at least one operand, pointwise
@@ -86,28 +87,18 @@ pub fn union(m: &mut BddManager, space: &Space, f: &Bfv, g: &Bfv) -> Result<Bfv>
         let g1 = m.cofactor(gi, v, false)?;
         let g0 = m.cofactor(gi, v, true)?;
         let g0 = m.not(g0);
-        let h1 = forced(m, f1, g1, fx, gx)?;
-        let h0 = forced(m, f0, g0, fx, gx)?;
+        let h1 = m.union_forced(f1, g1, fx, gx)?;
+        let h0 = m.union_forced(f0, g0, fx, gx)?;
         let vv = m.var(v);
         let nh0 = m.not(h0);
         let h = m.ite(vv, nh0, h1)?;
         // Exclusion update: an operand drops out when the selected bit
         // contradicts its forced value.
-        let df = m.ite(h, f0, f1)?;
-        let dg = m.ite(h, g0, g1)?;
-        fx = m.or(fx, df)?;
-        gx = m.or(gx, dg)?;
+        fx = m.union_exclude(fx, h, f0, f1)?;
+        gx = m.union_exclude(gx, h, g0, g1)?;
         comps.push(h);
     }
     Bfv::from_components(space, comps)
-}
-
-/// One forced condition of the union, `a·b ∨ a·bˣ ∨ aˣ·b`, as
-/// `ite(a, b ∨ bˣ, aˣ ∧ b)`.
-fn forced(m: &mut BddManager, a: Bdd, b: Bdd, ax: Bdd, bx: Bdd) -> Result<Bdd> {
-    let hi = m.or(b, bx)?;
-    let lo = m.and(ax, b)?;
-    m.ite(a, hi, lo).map_err(Into::into)
 }
 
 /// Set intersection `F ∩ G` (paper §2.4); `None` when empty.

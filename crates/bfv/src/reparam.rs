@@ -20,7 +20,7 @@
 //! simple support based cost heuristic"; both that and a fixed schedule
 //! are provided (the ablation bench compares them).
 
-use bfvr_bdd::{BddManager, Var};
+use bfvr_bdd::{Bdd, BddManager, Support, Var};
 
 use crate::ops;
 use crate::vector::Bfv;
@@ -87,57 +87,113 @@ pub fn reparameterize_with(
 ) -> Result<Bfv> {
     let mut current = vec.clone();
     let mut remaining: Vec<Var> = params.to_vec();
+    let mut deps = Dependents::new(m, &current);
     while !remaining.is_empty() {
-        let (idx, dependent) = match schedule {
-            Schedule::Fixed => (0, None),
-            Schedule::DynamicSupport => {
-                let (idx, count) = cheapest_param(m, &current, &remaining);
-                (idx, Some(count > 0))
-            }
+        let idx = match schedule {
+            Schedule::Fixed => 0,
+            Schedule::DynamicSupport => deps.cheapest(m, &remaining),
         };
         let p = remaining.swap_remove(idx);
-        // Support check: a parameter no component depends on is free. The
-        // dynamic schedule has already counted the dependents.
-        let dependent = dependent.unwrap_or_else(|| {
-            current
-                .components()
-                .iter()
-                .any(|&c| m.support(c).contains(p))
-        });
-        if !dependent {
+        // Support check: a parameter no component depends on is free.
+        if deps.count(p) == 0 {
             continue;
         }
         let f0 = ops::cofactor(m, space, &current, p, false)?;
         let f1 = ops::cofactor(m, space, &current, p, true)?;
         current = ops::union(m, space, &f0, &f1)?;
+        deps.refresh(m, &current);
     }
     Ok(current)
 }
 
-/// Index of the cheapest parameter to eliminate next, with the number of
-/// components that depend on it.
-fn cheapest_param(m: &BddManager, vec: &Bfv, remaining: &[Var]) -> (usize, usize) {
-    let supports: Vec<_> = vec.components().iter().map(|&c| m.support(c)).collect();
-    let mut best = 0usize;
-    let mut best_cost = (usize::MAX, usize::MAX);
-    for (i, &p) in remaining.iter().enumerate() {
-        let dependents: Vec<usize> = (0..vec.len())
-            .filter(|&j| supports[j].contains(p))
-            .collect();
-        let count = dependents.len();
-        let size: usize = if count == 0 {
-            0
-        } else {
-            let roots: Vec<_> = dependents.iter().map(|&j| vec.component(j)).collect();
-            m.shared_size(&roots)
-        };
-        let cost = (count, size);
-        if cost < best_cost {
-            best_cost = cost;
-            best = i;
+/// The supports of the current vector's components and, per variable,
+/// how many components depend on it. Built once and refreshed after each
+/// union step — only for the components that step changed — so a pick
+/// costs no support scan.
+struct Dependents {
+    /// The components the supports describe.
+    comps: Vec<Bdd>,
+    supports: Vec<Support>,
+    /// Dependent-component count, indexed by variable.
+    counts: Vec<u32>,
+}
+
+impl Dependents {
+    fn new(m: &BddManager, vec: &Bfv) -> Self {
+        let mut counts = vec![0; m.num_vars() as usize];
+        let supports: Vec<Support> = vec.components().iter().map(|&c| m.support(c)).collect();
+        for sup in &supports {
+            tally(&mut counts, sup, true);
+        }
+        Dependents {
+            comps: vec.components().to_vec(),
+            supports,
+            counts,
         }
     }
-    (best, best_cost.0)
+
+    /// Re-derives the supports of the components of `vec` that differ
+    /// from the ones last seen.
+    fn refresh(&mut self, m: &BddManager, vec: &Bfv) {
+        for (j, &c) in vec.components().iter().enumerate() {
+            if self.comps[j] != c {
+                let sup = m.support(c);
+                tally(&mut self.counts, &self.supports[j], false);
+                tally(&mut self.counts, &sup, true);
+                self.supports[j] = sup;
+                self.comps[j] = c;
+            }
+        }
+    }
+
+    fn count(&self, p: Var) -> u32 {
+        self.counts.get(p.0 as usize).copied().unwrap_or(0)
+    }
+
+    /// Index in `remaining` of the cheapest parameter to eliminate next:
+    /// the fewest dependent components, ties broken by the smallest shared
+    /// size of those components, then by the first index. A parameter
+    /// nothing depends on wins outright; sizes are measured only for the
+    /// candidates tied at the minimal count.
+    fn cheapest(&self, m: &BddManager, remaining: &[Var]) -> usize {
+        let min = remaining.iter().map(|&p| self.count(p)).min().unwrap_or(0);
+        let mut tied = (0..remaining.len())
+            .filter(|&i| self.count(remaining[i]) == min)
+            .peekable();
+        let first = tied.next().unwrap_or(0);
+        if min == 0 || tied.peek().is_none() {
+            return first;
+        }
+        let mut best = (self.shared_size(m, remaining[first]), first);
+        for i in tied {
+            let size = self.shared_size(m, remaining[i]);
+            if size < best.0 {
+                best = (size, i);
+            }
+        }
+        best.1
+    }
+
+    /// Shared node count of the components that depend on `p`.
+    fn shared_size(&self, m: &BddManager, p: Var) -> usize {
+        let roots: Vec<Bdd> = (0..self.comps.len())
+            .filter(|&j| self.supports[j].contains(p))
+            .map(|j| self.comps[j])
+            .collect();
+        m.shared_size(&roots)
+    }
+}
+
+/// Adds (or removes) one dependent component for every variable of `sup`.
+fn tally(counts: &mut [u32], sup: &Support, add: bool) {
+    for v in sup.vars() {
+        let n = &mut counts[v.0 as usize];
+        if add {
+            *n += 1;
+        } else {
+            *n -= 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -145,7 +201,6 @@ mod tests {
     use super::*;
     use crate::convert::to_characteristic;
     use crate::StateSet;
-    use bfvr_bdd::Bdd;
 
     /// Output space on vars 0..2, parameters on vars 3..5.
     fn setup() -> (BddManager, Space, [Var; 3]) {

@@ -115,6 +115,16 @@ fn cache_counter_names(name: &str) -> Option<(&'static str, &'static str, &'stat
             "cache.subst.hits",
             "cache.subst.entries",
         ),
+        "union_forced" => (
+            "cache.union_forced.lookups",
+            "cache.union_forced.hits",
+            "cache.union_forced.entries",
+        ),
+        "union_exclude" => (
+            "cache.union_exclude.lookups",
+            "cache.union_exclude.hits",
+            "cache.union_exclude.entries",
+        ),
         _ => return None,
     })
 }
@@ -227,5 +237,25 @@ pub(crate) fn engine_span_close(
         Outcome::MemOut => t.limit(lane, LimitKind::NodeLimit, r.iterations as u64),
         Outcome::TimeOut => t.limit(lane, LimitKind::Deadline, r.iterations as u64),
         _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_manager_cache_has_interned_counter_names() {
+        for cs in BddManager::new(1).cache_stats() {
+            let names = cache_counter_names(cs.name);
+            let n = cs.name;
+            let expect = (
+                format!("cache.{n}.lookups"),
+                format!("cache.{n}.hits"),
+                format!("cache.{n}.entries"),
+            );
+            let got = names.map(|(l, h, e)| (l.to_string(), h.to_string(), e.to_string()));
+            assert_eq!(got, Some(expect), "cache {n}");
+        }
     }
 }

@@ -511,9 +511,9 @@ impl JobRunner for ProcessRunner {
         if let Some(t) = spec.time_limit_secs {
             cmd.arg("--time-limit").arg(t.to_string());
         }
-        // The fault-injection harness: first attempt only, so the
+        // The fault-injection harness: a fresh first attempt only, so the
         // supervised resume is what completes the job.
-        if attempt == 1 {
+        if attempt == 1 && resume_from.is_none() {
             if let Some(k) = spec.kill_at_iteration() {
                 cmd.arg("--kill-at-iter").arg(k.to_string());
             }

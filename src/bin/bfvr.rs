@@ -212,6 +212,13 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     // "interrupted but resumable" — so they return their code directly;
     // everything else is plain success/failure.
     let simple = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        print!("{USAGE}");
+        return Ok(ExitCode::SUCCESS);
+    }
+    if let Some(cmd) = args.first() {
+        check_flags(cmd, args)?;
+    }
     match args.first().map(String::as_str) {
         Some("gen") => simple(cmd_gen(args.get(1).ok_or("gen needs a family spec")?)),
         Some("stats") => simple(cmd_stats(&load(args.get(1).ok_or("stats needs a file")?)?)),
@@ -231,6 +238,111 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
         }
         Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
     }
+}
+
+/// `ReachOptions` flags (see `parse_opts`) that take a value.
+const OPTS_VALUED: &[&str] = &[
+    "--time-limit",
+    "--node-limit",
+    "--cache-limit",
+    "--sift-maxgrowth",
+    "--sift-trigger",
+    "--jobs",
+];
+
+/// `ReachOptions` switches (see `parse_opts`).
+const OPTS_SWITCHES: &[&str] = &["--sift", "--frozen"];
+
+/// The flags `cmd` reads: `(flags that take a value, switches)`, or
+/// `None` for an unknown command (dispatch rejects it).
+fn command_flags(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
+    let (valued, switches, reach_opts): (&[&str], &[&str], bool) = match cmd {
+        "gen" | "stats" | "help" => (&[], &[], false),
+        "convert" => (&["--to"], &[], false),
+        "reach" => (
+            &[
+                "--engine",
+                "--repr",
+                "--order",
+                "--escalate-factor",
+                "--max-budget",
+                "--kill-at-iter",
+                "--trace-out",
+                "--trace-sample",
+                "--checkpoint-out",
+                "--checkpoint-every",
+                "--result-out",
+            ],
+            &["--race", "--escalate", "--dump-reached", "--stats"],
+            true,
+        ),
+        "resume" => (
+            &[
+                "--from",
+                "--trace-out",
+                "--trace-sample",
+                "--checkpoint-out",
+                "--checkpoint-every",
+                "--result-out",
+            ],
+            &[],
+            true,
+        ),
+        "serve" => (
+            &["--dir", "--workers", "--max-attempts", "--job-timeout"],
+            &[],
+            false,
+        ),
+        "submit" => (
+            &[
+                "--dir",
+                "--id",
+                "--engine",
+                "--repr",
+                "--order",
+                "--priority",
+                "--checkpoint-every",
+                "--node-limit",
+                "--time-limit",
+                "--fault",
+            ],
+            &[],
+            false,
+        ),
+        "audit" => (&["--engine", "--repr", "--order"], &["--selftest"], true),
+        "lint" => (&["--fix"], &["--prune", "--selftest"], false),
+        "check" => (&["--bad"], &[], true),
+        "trace" => (&["--to"], &[], true),
+        "report" => (&["--format"], &[], false),
+        _ => return None,
+    };
+    let (mut valued, mut switches) = (valued.to_vec(), switches.to_vec());
+    if reach_opts {
+        valued.extend(OPTS_VALUED);
+        switches.extend(OPTS_SWITCHES);
+    }
+    Some((valued, switches))
+}
+
+/// Rejects `--flags` that `cmd` does not read, and value flags given no
+/// value, instead of running as if they were absent.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), String> {
+    let Some((valued, switches)) = command_flags(cmd) else {
+        return Ok(());
+    };
+    let mut rest = args.iter().skip(1);
+    while let Some(a) = rest.next() {
+        if valued.contains(&a.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("`{a}` needs a value"));
+            }
+        } else if a.starts_with("--") && !switches.contains(&a.as_str()) {
+            return Err(format!(
+                "unknown flag `{a}` for `bfvr {cmd}` (run `bfvr --help` for usage)"
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn generate(spec: &str) -> Result<Netlist, String> {
