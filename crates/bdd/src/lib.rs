@@ -92,7 +92,6 @@ mod dot;
 mod error;
 mod explore;
 mod fault;
-mod frozen;
 mod func;
 pub mod hash;
 mod isop;
@@ -111,7 +110,6 @@ pub use dag::{BddDag, DagError, DagNode, DagRef, DAG_FALSE, DAG_TRUE};
 pub use error::BddError;
 pub use explore::{CubeIter, Support};
 pub use fault::{FaultKind, FaultPlan};
-pub use frozen::{FrozenSet, FrozenTask, FrozenWorkspace, FROZEN_FALSE, FROZEN_TRUE};
 pub use func::Func;
 pub use isop::Cube;
 pub use manager::{BddManager, GcStats, ManagerStats, UniqueTableStats};

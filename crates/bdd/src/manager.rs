@@ -247,9 +247,7 @@ impl BddManager {
         self.node_limit = usize::MAX;
     }
 
-    /// The armed node ceiling, if any. Lets callers (such as the audit
-    /// passes) save, suspend and restore the limit around out-of-band
-    /// work that must not trip it.
+    /// The armed node ceiling, if any.
     #[must_use]
     pub fn node_limit(&self) -> Option<usize> {
         (self.node_limit != usize::MAX).then_some(self.node_limit)
@@ -264,6 +262,20 @@ impl BddManager {
     #[must_use]
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
+    }
+
+    /// Runs `f` with the node ceiling and the deadline suspended, then
+    /// re-arms both exactly as they were. For out-of-band work that must
+    /// neither trip nor count against the run's budget: sifting, audits,
+    /// checkpoint writes. Injected faults and the cancellation token stay
+    /// armed.
+    pub fn with_limits_suspended<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+        let node_limit = std::mem::replace(&mut self.node_limit, usize::MAX);
+        let deadline = self.deadline.take();
+        let out = f(self);
+        self.node_limit = node_limit;
+        self.deadline = deadline;
+        out
     }
 
     /// Fails with [`BddError::Deadline`] if the armed deadline has passed.
@@ -806,6 +818,27 @@ impl BddManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn suspended_limits_come_back_as_they_were() {
+        let mut m = BddManager::new(2);
+        let later = Instant::now() + std::time::Duration::from_secs(3600);
+        for (limit, deadline) in [
+            (None, None),
+            (Some(64), None),
+            (None, Some(later)),
+            (Some(64), Some(later)),
+        ] {
+            match limit {
+                Some(n) => m.set_node_limit(n),
+                None => m.clear_node_limit(),
+            }
+            m.set_deadline(deadline);
+            let seen = m.with_limits_suspended(|m| (m.node_limit(), m.deadline()));
+            assert_eq!(seen, (None, None), "both limits are off inside");
+            assert_eq!((m.node_limit(), m.deadline()), (limit, deadline));
+        }
+    }
 
     #[test]
     fn terminals_and_vars() {

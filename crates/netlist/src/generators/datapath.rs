@@ -7,7 +7,7 @@
 //! load datapaths the shift/counter families lack: an image engine that
 //! re-traverses input-only logic once per latch pays for the cone `n`
 //! times per step, while one that detects substitution-free sub-DAGs
-//! (the frozen-function kernel's support prepass) skips it wholesale.
+//! skips it wholesale.
 
 use crate::model::{GateKind, Netlist, NetlistBuilder};
 

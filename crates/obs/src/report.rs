@@ -482,13 +482,15 @@ const ITER_COLS: [&str; 9] = [
 ];
 
 /// Preferred ordering for the per-iteration op-phase columns; keys the
-/// trace emits that are not listed here follow in first-seen order.
+/// trace emits that are not listed here follow in first-seen order. The
+/// `freeze`/`compose`/`intern` sub-phases appear only in traces recorded
+/// by the parallel image backend that earlier versions shipped; they stay
+/// listed so those traces still render in phase order.
 const OP_ORDER: [&str; 6] = ["image", "freeze", "compose", "intern", "convert", "union"];
 
 /// The union of op-phase keys across a run's iterations, in [`OP_ORDER`]
-/// then first-seen order — the frozen backend emits `freeze`/`compose`/
-/// `intern` sub-phases the sequential path doesn't, and a run's table
-/// shows exactly the phases its engine recorded.
+/// then first-seen order, so a run's table shows exactly the phases its
+/// engine recorded.
 fn op_keys(run: &EngineRun) -> Vec<String> {
     let mut seen: Vec<String> = Vec::new();
     for r in &run.iters {

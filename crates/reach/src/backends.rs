@@ -28,9 +28,7 @@ use bfvr_bfv::reparam::Schedule;
 use bfvr_bfv::{convert, ops, Bfv, BfvError, Space, StateSet};
 use bfvr_setrepr::zonotope::{AffineEvaluator, Zonotope};
 use bfvr_setrepr::{ReprCheckpoint, ReprKind, SetRepr, SetView};
-use bfvr_sim::{
-    resolve_jobs, simulate_image_frozen, simulate_image_scratch, EncodedFsm, ImageScratch,
-};
+use bfvr_sim::{simulate_image_scratch, EncodedFsm, ImageScratch};
 
 use crate::cf::{count_states, initial_chi};
 
@@ -317,57 +315,6 @@ impl SetRepr for ChiBackend<'_> {
     }
 }
 
-/// The shared symbolic-simulation image machinery of the functional-
-/// composition backends (BFV, CDEC): the reusable [`ImageScratch`]
-/// buffers, and the opt-in frozen-function parallel path with its
-/// per-phase timers and effective-parallelism report.
-struct SimImage {
-    schedule: Schedule,
-    frozen: bool,
-    jobs: usize,
-    scratch: ImageScratch,
-    phases: Vec<(&'static str, Duration)>,
-    effective: Option<usize>,
-}
-
-impl SimImage {
-    fn new(schedule: Schedule) -> Self {
-        SimImage {
-            schedule,
-            frozen: false,
-            jobs: 0,
-            scratch: ImageScratch::default(),
-            phases: Vec::new(),
-            effective: None,
-        }
-    }
-
-    fn set_parallel(&mut self, frozen: bool, jobs: usize) {
-        self.frozen = frozen;
-        // `--jobs` is a cap, not a demand: a pool wider than the machine
-        // only serializes workers that then share no compose memo with
-        // each other — pure duplicated work for a CPU-bound kernel. The
-        // sim layer still honors an explicit width (its determinism
-        // tests drive real multi-worker fan-out on any box); the engine
-        // layer clamps to the cores that are actually there.
-        self.jobs = resolve_jobs(jobs).min(resolve_jobs(0));
-    }
-
-    fn run(&mut self, m: &mut BddManager, fsm: &EncodedFsm, from: &Bfv) -> Result<Bfv, BfvError> {
-        if self.frozen {
-            let (img, ph, eff) =
-                simulate_image_frozen(m, fsm, from, self.schedule, self.jobs, &mut self.scratch)?;
-            self.phases.push(("freeze", ph.freeze));
-            self.phases.push(("compose", ph.compose));
-            self.phases.push(("intern", ph.intern));
-            self.effective = Some(eff);
-            Ok(img)
-        } else {
-            simulate_image_scratch(m, fsm, from, self.schedule, &mut self.scratch)
-        }
-    }
-}
-
 /// The paper's Figure 2 representation: canonical Boolean functional
 /// vectors. No characteristic function is built anywhere in the loop;
 /// the fixpoint test is componentwise handle equality, which canonicity
@@ -375,7 +322,8 @@ impl SimImage {
 pub struct BfvBackend<'a> {
     fsm: &'a EncodedFsm,
     space: Space,
-    sim: SimImage,
+    schedule: Schedule,
+    scratch: ImageScratch,
 }
 
 impl<'a> BfvBackend<'a> {
@@ -386,16 +334,9 @@ impl<'a> BfvBackend<'a> {
         BfvBackend {
             fsm,
             space: fsm.space(),
-            sim: SimImage::new(schedule),
+            schedule,
+            scratch: ImageScratch::default(),
         }
-    }
-
-    /// Opts the image step into the frozen-function parallel backend
-    /// with a `jobs`-thread pool (see [`crate::ReachOptions::frozen`]).
-    #[must_use]
-    pub fn with_parallel(mut self, frozen: bool, jobs: usize) -> Self {
-        self.sim.set_parallel(frozen, jobs);
-        self
     }
 }
 
@@ -413,7 +354,7 @@ impl SetRepr for BfvBackend<'_> {
     }
 
     fn image(&mut self, m: &mut BddManager, from: &Bfv) -> Result<Bfv, BfvError> {
-        self.sim.run(m, self.fsm, from)
+        simulate_image_scratch(m, self.fsm, from, self.schedule, &mut self.scratch)
     }
 
     fn union(&mut self, m: &mut BddManager, a: &Bfv, b: &Bfv) -> Result<Bfv, BfvError> {
@@ -480,14 +421,6 @@ impl SetRepr for BfvBackend<'_> {
             _ => Ok(None),
         }
     }
-
-    fn take_image_phases(&mut self) -> Vec<(&'static str, Duration)> {
-        std::mem::take(&mut self.sim.phases)
-    }
-
-    fn effective_jobs(&self) -> Option<usize> {
-        self.sim.effective
-    }
 }
 
 /// A reached/from pair in the conjunctive-decomposition lane: the §2.7
@@ -507,7 +440,8 @@ pub struct CdecSet {
 pub struct CdecBackend<'a> {
     fsm: &'a EncodedFsm,
     space: Space,
-    sim: SimImage,
+    schedule: Schedule,
+    scratch: ImageScratch,
     conversion: Duration,
 }
 
@@ -518,17 +452,10 @@ impl<'a> CdecBackend<'a> {
         CdecBackend {
             fsm,
             space: fsm.space(),
-            sim: SimImage::new(schedule),
+            schedule,
+            scratch: ImageScratch::default(),
             conversion: Duration::ZERO,
         }
-    }
-
-    /// Opts the image step into the frozen-function parallel backend
-    /// with a `jobs`-thread pool (see [`crate::ReachOptions::frozen`]).
-    #[must_use]
-    pub fn with_parallel(mut self, frozen: bool, jobs: usize) -> Self {
-        self.sim.set_parallel(frozen, jobs);
-        self
     }
 
     fn wrap(&mut self, m: &mut BddManager, bfv: Bfv) -> Result<CdecSet, BfvError> {
@@ -556,7 +483,7 @@ impl SetRepr for CdecBackend<'_> {
     }
 
     fn image(&mut self, m: &mut BddManager, from: &CdecSet) -> Result<CdecSet, BfvError> {
-        let img = self.sim.run(m, self.fsm, &from.bfv)?;
+        let img = simulate_image_scratch(m, self.fsm, &from.bfv, self.schedule, &mut self.scratch)?;
         self.wrap(m, img)
     }
 
@@ -663,14 +590,6 @@ impl SetRepr for CdecBackend<'_> {
 
     fn take_conversion(&mut self) -> Duration {
         std::mem::take(&mut self.conversion)
-    }
-
-    fn take_image_phases(&mut self) -> Vec<(&'static str, Duration)> {
-        std::mem::take(&mut self.sim.phases)
-    }
-
-    fn effective_jobs(&self) -> Option<usize> {
-        self.sim.effective
     }
 }
 

@@ -117,7 +117,6 @@ pub fn reach_backward(
         peak_nodes,
         elapsed,
         conversion_time: std::time::Duration::ZERO,
-        frozen_jobs: None,
         reorders: 0,
         reorder_nodes: (0, 0),
         per_iteration,

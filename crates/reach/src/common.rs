@@ -85,16 +85,6 @@ impl EngineKind {
             EngineKind::Cdec => &[ReprKind::Cdec],
         }
     }
-
-    /// Whether this engine's image step can run on the frozen-function
-    /// parallel backend ([`ReachOptions::frozen`]). The functional-
-    /// composition engines qualify — their image is one independent
-    /// compose per vector component; the χ engines' relational products
-    /// have no per-component fan-out and ignore the flag.
-    #[must_use]
-    pub fn frozen_capable(self) -> bool {
-        matches!(self, EngineKind::Bfv | EngineKind::Cdec)
-    }
 }
 
 /// Label of an engine × representation lane. Native lanes keep the bare
@@ -172,19 +162,6 @@ pub struct ReachOptions {
     /// selection heuristic of Figures 1–2). When false, always iterate
     /// from the full reached set.
     pub use_frontier: bool,
-    /// Run the image step on the frozen-function parallel backend
-    /// (CLI `--frozen`): freeze the transition vector and current set
-    /// once per iteration, fan per-component coupled-DFS compose tasks
-    /// across [`ReachOptions::jobs`] scoped threads, and canonicalize
-    /// the results back in one batched re-intern pass. Results are
-    /// bit-identical to the sequential path. Only the
-    /// [`EngineKind::frozen_capable`] engines honor the flag.
-    pub frozen: bool,
-    /// Worker threads of the frozen image pool (`0` = ask the OS via
-    /// [`std::thread::available_parallelism`]). Clamped to the
-    /// component count per image. Ignored unless
-    /// [`ReachOptions::frozen`] is set.
-    pub jobs: usize,
     /// Enable dynamic variable reordering (Rudell sifting) between
     /// iterations (CLI `--sift`). The driver watches live-node growth
     /// after each iteration's collection and, once the graph has grown
@@ -251,8 +228,6 @@ impl Default for ReachOptions {
             schedule: Schedule::DynamicSupport,
             cluster_threshold: 500,
             use_frontier: true,
-            frozen: false,
-            jobs: 0,
             sift: false,
             sift_max_growth: 1.2,
             sift_trigger: 2.0,
@@ -277,8 +252,6 @@ impl fmt::Debug for ReachOptions {
             .field("schedule", &self.schedule)
             .field("cluster_threshold", &self.cluster_threshold)
             .field("use_frontier", &self.use_frontier)
-            .field("frozen", &self.frozen)
-            .field("jobs", &self.jobs)
             .field("sift", &self.sift)
             .field("sift_max_growth", &self.sift_max_growth)
             .field("sift_trigger", &self.sift_trigger)
@@ -457,11 +430,6 @@ pub struct ReachResult {
     /// Total time spent in representation conversions (χ↔BFV); zero for
     /// the Figure 2 flow — that is the paper's headline.
     pub conversion_time: Duration,
-    /// Effective worker count of the frozen image pool — the
-    /// parallelism actually used, after clamping [`ReachOptions::jobs`]
-    /// to the component count. `None` when the run took the sequential
-    /// image path (frozen off, or an engine without a frozen backend).
-    pub frozen_jobs: Option<usize>,
     /// Dynamic reorder (sift) passes the driver triggered during the
     /// run. Zero when [`ReachOptions::sift`] was off, the backend
     /// declined ([`bfvr_setrepr::SetRepr::supports_reorder`]), or the
@@ -570,7 +538,6 @@ pub(crate) fn failed_result(
         peak_nodes,
         elapsed,
         conversion_time: Duration::ZERO,
-        frozen_jobs: None,
         reorders: 0,
         reorder_nodes: (0, 0),
         per_iteration: Vec::new(),

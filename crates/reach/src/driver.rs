@@ -118,23 +118,17 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
                 && gc.live >= SIFT_SIZE_FLOOR
                 && gc.live as f64 >= sift_baseline as f64 * opts.sift_trigger.max(1.0)
             {
-                let saved_limit = m.node_limit();
-                let saved_deadline = m.deadline();
-                m.clear_node_limit();
-                m.set_deadline(None);
                 let sift_start = Instant::now();
-                let stats = m.sift(
-                    &roots,
-                    &SiftConfig {
-                        max_growth: opts.sift_max_growth,
-                        converge: false,
-                    },
-                );
+                let stats = m.with_limits_suspended(|m| {
+                    m.sift(
+                        &roots,
+                        &SiftConfig {
+                            max_growth: opts.sift_max_growth,
+                            converge: false,
+                        },
+                    )
+                });
                 let sift_dur = sift_start.elapsed();
-                if let Some(n) = saved_limit {
-                    m.set_node_limit(n);
-                }
-                m.set_deadline(saved_deadline);
                 reorders += 1;
                 reorder_before += stats.before;
                 reorder_after += stats.after;
@@ -153,11 +147,9 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
             conversion_time += conv;
             // Op-class timers in loop order; the conversion slice of the
             // image/union timers is also broken out under its own label
-            // when the backend reported any, as are the frozen image
-            // path's freeze/compose/intern phases.
-            let mut ops: Vec<(&'static str, Duration)> = Vec::with_capacity(6);
+            // when the backend reported any.
+            let mut ops: Vec<(&'static str, Duration)> = Vec::with_capacity(3);
             ops.push(("image", image_time));
-            ops.extend(backend.take_image_phases());
             if conv > Duration::ZERO {
                 ops.push(("convert", conv));
             }
@@ -188,23 +180,17 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
             // period rather than aborting the traversal.
             if let (Some(every), Some(hook)) = (opts.checkpoint_every, &opts.checkpoint_hook) {
                 if every > 0 && iterations % every == 0 {
-                    let saved_limit = m.node_limit();
-                    let saved_deadline = m.deadline();
-                    m.clear_node_limit();
-                    m.set_deadline(None);
-                    if let Ok(state) = backend.checkpoint(m, &reached, &from) {
-                        let cp = Checkpoint {
-                            engine,
-                            repr,
-                            iterations,
-                            state,
-                        };
-                        hook(m, &cp);
-                    }
-                    if let Some(n) = saved_limit {
-                        m.set_node_limit(n);
-                    }
-                    m.set_deadline(saved_deadline);
+                    m.with_limits_suspended(|m| {
+                        if let Ok(state) = backend.checkpoint(m, &reached, &from) {
+                            let cp = Checkpoint {
+                                engine,
+                                repr,
+                                iterations,
+                                state,
+                            };
+                            hook(m, &cp);
+                        }
+                    });
                 }
             }
             backend.end_of_iteration(&reached, &from);
@@ -256,7 +242,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
         peak_nodes,
         elapsed,
         conversion_time,
-        frozen_jobs: backend.effective_jobs(),
         reorders,
         reorder_nodes: (reorder_before, reorder_after),
         per_iteration,

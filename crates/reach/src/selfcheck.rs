@@ -32,65 +32,50 @@ pub(crate) fn selfcheck_iteration(m: &mut BddManager, fsm: &EncodedFsm, view: &I
         return;
     }
     let space = fsm.space();
-
-    let node_limit = m.node_limit();
-    let deadline = m.deadline();
-    m.clear_node_limit();
-    m.set_deadline(None);
-
-    // Pin for a χ derived from a lane-private representation (ZDD): keeps
-    // it alive — and leak-pass-exempt — across the passes' collections.
-    let _chi_guard;
-    let targets = match view.set {
-        SetView::Chi { reached, .. } => AuditTargets::for_chi(&space, reached),
-        SetView::Vector { reached, .. } => AuditTargets::for_bfv(&space, reached),
-        SetView::Cdec { reached, .. } => AuditTargets::for_cdec(&space, reached),
-        SetView::Zdd { store, reached, .. } => {
-            // Audit the lane through the production ZDD → χ converter.
-            // A conversion failure is possible only under injected
-            // faults: inconclusive, skip.
-            let Ok(chi) = bfvr_bdd::bdd_from_zdd(m, store, reached, space.vars()) else {
-                match node_limit {
-                    Some(n) => m.set_node_limit(n),
-                    None => m.clear_node_limit(),
-                }
-                m.set_deadline(deadline);
-                return;
-            };
-            _chi_guard = m.func(chi);
-            // Sweep the conversion's scratch so the leak pass sees only
-            // what the engine itself left live.
-            let mut roots = view.roots.to_vec();
-            roots.push(chi);
-            m.collect_garbage(&roots);
-            AuditTargets::for_chi(&space, chi)
-        }
-        SetView::Zonotope { .. } => unreachable!("handled above"),
-    }
-    .with_leak_roots(view.roots);
-
     let scope = format!(
         "{}/iter[{}]",
         crate::common::lane_label(view.engine, view.repr),
         view.iteration
     );
     let mut report = Report::new();
-    let run = run_passes(m, &targets, &scope, &mut report);
+    let conclusive = m.with_limits_suspended(|m| {
+        // Pin for a χ derived from a lane-private representation (ZDD):
+        // keeps it alive — and leak-pass-exempt — across the passes'
+        // collections.
+        let _chi_guard;
+        let targets = match view.set {
+            SetView::Chi { reached, .. } => AuditTargets::for_chi(&space, reached),
+            SetView::Vector { reached, .. } => AuditTargets::for_bfv(&space, reached),
+            SetView::Cdec { reached, .. } => AuditTargets::for_cdec(&space, reached),
+            SetView::Zdd { store, reached, .. } => {
+                // Audit the lane through the production ZDD → χ converter.
+                // A conversion failure is possible only under injected
+                // faults: inconclusive, skip.
+                let Ok(chi) = bfvr_bdd::bdd_from_zdd(m, store, reached, space.vars()) else {
+                    return false;
+                };
+                _chi_guard = m.func(chi);
+                // Sweep the conversion's scratch so the leak pass sees only
+                // what the engine itself left live.
+                let mut roots = view.roots.to_vec();
+                roots.push(chi);
+                m.collect_garbage(&roots);
+                AuditTargets::for_chi(&space, chi)
+            }
+            SetView::Zonotope { .. } => unreachable!("handled above"),
+        }
+        .with_leak_roots(view.roots);
+        let run = run_passes(m, &targets, &scope, &mut report);
+        // The passes derive representations and build violation BDDs;
+        // sweep that scratch work away so the self-check leaves the heap
+        // exactly as the engine's own collection established it — a
+        // later auditor (the observer, or the next iteration's leak
+        // pass) must not see our garbage as the engine's leak.
+        m.collect_garbage(view.roots);
+        run.is_ok()
+    });
 
-    // The passes derive representations and build violation BDDs; sweep
-    // that scratch work away so the self-check leaves the heap exactly as
-    // the engine's own collection established it — a later auditor (the
-    // observer, or the next iteration's leak pass) must not see our
-    // garbage as the engine's leak.
-    m.collect_garbage(view.roots);
-
-    match node_limit {
-        Some(n) => m.set_node_limit(n),
-        None => m.clear_node_limit(),
-    }
-    m.set_deadline(deadline);
-
-    if run.is_ok() {
+    if conclusive {
         assert!(
             !report.has_errors(),
             "audit self-check failed at {scope}:\n{}",

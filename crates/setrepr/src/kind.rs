@@ -67,7 +67,7 @@ impl ReprKind {
     /// [`crate::SetRepr::supports_reorder`] at the kind level, for lane
     /// display: only the plain χ representation survives a mid-run
     /// level permutation — BFV/CDEC tie component order to variable
-    /// order (paper §3), ZDD label nodes freeze their creation levels,
+    /// order (paper §3), ZDD label nodes fix their creation levels,
     /// and zonotope generators are bound to the encoding pass.
     #[must_use]
     pub fn supports_reorder(self) -> bool {

@@ -42,13 +42,11 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 mod encode;
-mod frozen_image;
 mod order;
 mod simulate;
 pub mod ternary;
 
 pub use encode::EncodedFsm;
-pub use frozen_image::{resolve_jobs, simulate_image_frozen, FrozenPhases};
 pub use order::{OrderHeuristic, Slot};
 pub use simulate::{
     simulate_image, simulate_image_scratch, simulate_image_with, simulate_outputs, ImageScratch,

@@ -30,16 +30,13 @@ pub struct ImageScratch {
     warm: bool,
     /// How many image calls ran on warm (reused) buffers — test
     /// observability for the reuse contract.
-    pub(crate) reuses: usize,
-    /// Per-worker frozen-task buffers recycled across image calls
-    /// (populated only by the frozen parallel path).
-    pub(crate) frozen_ws: Vec<bfvr_bdd::FrozenWorkspace>,
+    reuses: usize,
 }
 
 impl ImageScratch {
     /// Sizes the substitution map for `num_vars` and counts a reuse when
     /// the buffers were already warm.
-    pub(crate) fn prepare_for(&mut self, fsm: &EncodedFsm, num_vars: usize) {
+    fn prepare_for(&mut self, fsm: &EncodedFsm, num_vars: usize) {
         if self.warm {
             self.reuses += 1;
         } else {
@@ -52,29 +49,6 @@ impl ImageScratch {
         // map is already all-`None`; only the length may need fixing.
         self.map.resize(num_vars, None);
     }
-}
-
-/// Shared tail of the sequential and frozen-parallel image paths: wrap
-/// the composed components, re-parameterize onto the next-state space,
-/// and rename next-state variables back to current.
-pub(crate) fn finish_image(
-    m: &mut BddManager,
-    fsm: &EncodedFsm,
-    composed: Vec<Bdd>,
-    schedule: Schedule,
-    scratch: &mut ImageScratch,
-) -> Result<Bfv, BfvError> {
-    let space = fsm.space();
-    let next_space = fsm.next_space();
-    let simulated = Bfv::from_components(&next_space, composed)?;
-    // Parameters: the current-state choice variables and the inputs.
-    let image_next = reparameterize_with(m, &next_space, &simulated, &scratch.params, schedule)?;
-    // Rename u → v so the image lives in the current-state space again.
-    let mut renamed = Vec::with_capacity(image_next.len());
-    for &c in image_next.components() {
-        renamed.push(m.swap_vars(c, &scratch.pairs)?);
-    }
-    Bfv::from_components(&space, renamed)
 }
 
 /// Computes the canonical vector of the image
@@ -146,7 +120,16 @@ pub fn simulate_image_scratch(
         scratch.map[var.0 as usize] = None;
     }
     compose_result?;
-    finish_image(m, fsm, composed, schedule, scratch)
+    let next_space = fsm.next_space();
+    let simulated = Bfv::from_components(&next_space, composed)?;
+    // Parameters: the current-state choice variables and the inputs.
+    let image_next = reparameterize_with(m, &next_space, &simulated, &scratch.params, schedule)?;
+    // Rename u → v so the image lives in the current-state space again.
+    let mut renamed = Vec::with_capacity(image_next.len());
+    for &c in image_next.components() {
+        renamed.push(m.swap_vars(c, &scratch.pairs)?);
+    }
+    Bfv::from_components(&space, renamed)
 }
 
 /// Evaluates the primary outputs over a state set: returns, per output,

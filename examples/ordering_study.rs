@@ -4,12 +4,11 @@
 //! `{off, sift}` on the order-sensitive monolithic χ engine.
 //!
 //! Each cell of the static × dynamic matrix runs as **interleaved
-//! off/sift pairs** on fresh managers — the drift-proof protocol of
-//! `BENCH_frozen_apply.json`: both sides of a pair run back-to-back so
-//! machine drift cancels in the ratio, every pair asserts identical
-//! reached-state and iteration counts (sifting is a graph-shape change,
-//! never a semantic one), and the reported time ratio is the median
-//! over pairs. Peak live nodes are deterministic, so the peak columns
+//! off/sift pairs** on fresh managers — a drift-proof protocol: both
+//! sides of a pair run back-to-back so machine drift cancels in the
+//! ratio, every pair asserts identical reached-state and iteration
+//! counts (sifting is a graph-shape change, never a semantic one), and
+//! the reported time ratio is the median over pairs. Peak live nodes are deterministic, so the peak columns
 //! are exact; they are the headline — on the datapath families
 //! (`mask*`, `load*`) declaration order scatters the decode cone and
 //! one sift pass cuts the peak by well over the 20% acceptance bar,

@@ -92,26 +92,12 @@ USAGE:
                                          pass (default 1.2)
                     [--sift-trigger <f>] live-node growth multiple that
                                          fires a reorder pass (default 2)
-                    [--frozen]           run the image step on the frozen-
-                                         function parallel backend: freeze
-                                         the transition vector + reached set
-                                         once per iteration, fan per-component
-                                         compose tasks across a worker pool,
-                                         re-intern in one batched pass.
-                                         Bit-identical results; BFV/CDEC
-                                         lanes only (χ lanes ignore it);
-                                         frozen lanes print as LANE*F
                     [--race]             run the selected engines (default:
                                          all) concurrently, one manager per
                                          thread; first fixed point wins and
                                          cancels the rest
                     [--jobs <n>]         with --race: cap racing worker
-                                         threads (default: one per engine);
-                                         with --frozen: frozen image pool
-                                         size (default: all cores, clamped
-                                         to the component count). Racing
-                                         frozen lanes always run their
-                                         pools single-threaded
+                                         threads (default: one per lane)
                     [--escalate]         on T.O./M.O., resume from the
                                          checkpoint with raised budgets
                                          (per lane when racing)
@@ -247,11 +233,10 @@ const OPTS_VALUED: &[&str] = &[
     "--cache-limit",
     "--sift-maxgrowth",
     "--sift-trigger",
-    "--jobs",
 ];
 
 /// `ReachOptions` switches (see `parse_opts`).
-const OPTS_SWITCHES: &[&str] = &["--sift", "--frozen"];
+const OPTS_SWITCHES: &[&str] = &["--sift"];
 
 /// The flags `cmd` reads: `(flags that take a value, switches)`, or
 /// `None` for an unknown command (dispatch rejects it).
@@ -264,6 +249,7 @@ fn command_flags(cmd: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
                 "--engine",
                 "--repr",
                 "--order",
+                "--jobs",
                 "--escalate-factor",
                 "--max-budget",
                 "--kill-at-iter",
@@ -498,14 +484,6 @@ fn parse_opts(args: &[String]) -> Result<ReachOptions, String> {
         if opts.sift_trigger < 1.0 {
             return Err("--sift-trigger must be >= 1".into());
         }
-    }
-    opts.frozen = args.iter().any(|a| a == "--frozen");
-    if let Some(s) = flag_value(args, "--jobs") {
-        let n: usize = s.parse().map_err(|e| format!("bad --jobs: {e}"))?;
-        if n == 0 {
-            return Err("--jobs must be at least 1".into());
-        }
-        opts.jobs = n;
     }
     Ok(opts)
 }
@@ -874,8 +852,8 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
             .flat_map(|&l| orders.iter().map(move |&o| l.with_order(o)))
             .collect();
     }
-    if !race && !opts.frozen && flag_value(args, "--jobs").is_some() {
-        return Err("--jobs requires --race or --frozen".into());
+    if !race && flag_value(args, "--jobs").is_some() {
+        return Err("--jobs requires --race".into());
     }
     let result_out = flag_value(args, "--result-out");
     let kill_at = match flag_value(args, "--kill-at-iter") {
@@ -907,22 +885,9 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
         order_token(order)
     };
     let lint = bfvr::nlint::run_passes(&net).summary();
-    // Frozen-backend provenance in the meta header: requested pool size
-    // (`auto` = all cores); each lane's *effective* width is in its
-    // result/report row.
-    let frozen_label = if opts.frozen {
-        let jobs = if opts.jobs == 0 {
-            "auto".to_string()
-        } else {
-            opts.jobs.to_string()
-        };
-        format!(" frozen=on jobs={jobs}")
-    } else {
-        String::new()
-    };
-    // Sifting provenance mirrors the frozen backend's: the meta header
-    // records that dynamic reordering was armed and with what knobs;
-    // whether it *fired* is in the per-lane reorder events.
+    // Sifting provenance: the meta header records that dynamic
+    // reordering was armed and with what knobs; whether it *fired* is in
+    // the per-lane reorder events.
     let sift_label = if opts.sift {
         format!(
             " sift=on maxgrowth={} trigger={}",
@@ -934,7 +899,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
     let trace = parse_trace(
         args,
         &format!(
-            "bfvr reach {} order={order_label} lint={lint}{frozen_label}{sift_label}",
+            "bfvr reach {} order={order_label} lint={lint}{sift_label}",
             net.name()
         ),
     )?;
@@ -1067,9 +1032,6 @@ fn reach_plain(
                 r.elapsed.as_secs_f64() * 1e3,
                 r.peak_nodes
             );
-            if let Some(j) = r.frozen_jobs {
-                println!("  frozen image pool: {j} worker thread(s)");
-            }
             if r.reorders > 0 {
                 let (before, after) = r.reorder_nodes;
                 println!(
@@ -1128,18 +1090,13 @@ fn reach_plain(
     })
 }
 
-/// The lane column: [`Lane::display`], tagged `*F` when the frozen
-/// parallel image backend is active for the lane and `~S` when dynamic
-/// sifting is armed for it. Each tag applies only where the backend
-/// actually engages — a χ lane under `--frozen` runs its ordinary
-/// relational product, and a BFV/CDEC/ZDD/zono lane under `--sift` keeps
-/// its static order (the representation is tied to it) — so the table
-/// shows what each lane really ran, e.g. `MONO@FORCE~S`.
+/// The lane column: [`Lane::display`], tagged `~S` when dynamic sifting
+/// is armed for the lane. The tag applies only where sifting actually
+/// engages — a BFV/CDEC/ZDD/zono lane under `--sift` keeps its static
+/// order (the representation is tied to it) — so the table shows what
+/// each lane really ran, e.g. `MONO@FORCE~S`.
 fn lane_cell(lane: Lane, opts: &ReachOptions) -> String {
     let mut cell = lane.display();
-    if opts.frozen && lane.engine.frozen_capable() {
-        cell.push_str("*F");
-    }
     if opts.sift && lane.repr.supports_reorder() {
         cell.push_str("~S");
     }
@@ -1200,12 +1157,6 @@ fn cmd_reach_race(
         } else {
             ""
         };
-        // Effective frozen-pool width (always 1 in a race — the race
-        // owns the thread budget), so the report still shows which
-        // lanes took the frozen path.
-        let pool = lane
-            .frozen_jobs
-            .map_or(String::new(), |j| format!(" F×{j}"));
         // Reorder provenance: how many sift passes actually fired on
         // this lane (0 suppresses the tag — an armed lane that never
         // crossed the trigger ran its static order end to end).
@@ -1215,14 +1166,13 @@ fn cmd_reach_race(
             String::new()
         };
         println!(
-            "{:16} {:>9} {:>14} {:>7} {:>10.1} {:>11}{}{}{}",
+            "{:16} {:>9} {:>14} {:>7} {:>10.1} {:>11}{}{}",
             lane_cell(lanes[i], opts),
             status,
             states_cell(lane.reached_states, lane.over_approx),
             lane.iterations,
             lane.elapsed.as_secs_f64() * 1e3,
             lane.peak_nodes,
-            pool,
             sifted,
             won,
         );
@@ -1513,48 +1463,38 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
             // engine's resource budget: suspend limits, audit, restore.
             // A resource failure inside the audit (possible only under
             // injected faults) makes that audit inconclusive, not failed.
-            let node_limit = m.node_limit();
-            let deadline = m.deadline();
-            m.clear_node_limit();
-            m.set_deadline(None);
-            let restore = |m: &mut bfvr::bdd::BddManager| {
-                match node_limit {
-                    Some(n) => m.set_node_limit(n),
-                    None => m.clear_node_limit(),
+            m.with_limits_suspended(|m| {
+                // Pin for a χ derived from a lane-private representation
+                // (ZDD): keeps it alive across the passes' collections.
+                let _chi_guard;
+                let targets = match view.set {
+                    SetView::Chi { reached, .. } => AuditTargets::for_chi(&space, reached),
+                    SetView::Vector { reached, .. } => AuditTargets::for_bfv(&space, reached),
+                    SetView::Cdec { reached, .. } => AuditTargets::for_cdec(&space, reached),
+                    SetView::Zdd { store, reached, .. } => {
+                        // Audit the lane through the production ZDD → χ
+                        // converter. A conversion failure is possible only
+                        // under injected faults: inconclusive, skip.
+                        let Ok(chi) = bfvr::bdd::bdd_from_zdd(m, store, reached, space.vars())
+                        else {
+                            *skipped.borrow_mut() += 1;
+                            return;
+                        };
+                        _chi_guard = m.func(chi);
+                        // Sweep the conversion's scratch so the leak pass
+                        // sees only what the engine itself left live.
+                        let mut roots = view.roots.to_vec();
+                        roots.push(chi);
+                        m.collect_garbage(&roots);
+                        AuditTargets::for_chi(&space, chi)
+                    }
+                    SetView::Zonotope { .. } => unreachable!("handled above"),
                 }
-                m.set_deadline(deadline);
-            };
-            // Pin for a χ derived from a lane-private representation
-            // (ZDD): keeps it alive across the passes' collections.
-            let _chi_guard;
-            let targets = match view.set {
-                SetView::Chi { reached, .. } => AuditTargets::for_chi(&space, reached),
-                SetView::Vector { reached, .. } => AuditTargets::for_bfv(&space, reached),
-                SetView::Cdec { reached, .. } => AuditTargets::for_cdec(&space, reached),
-                SetView::Zdd { store, reached, .. } => {
-                    // Audit the lane through the production ZDD → χ
-                    // converter. A conversion failure is possible only
-                    // under injected faults: inconclusive, skip.
-                    let Ok(chi) = bfvr::bdd::bdd_from_zdd(m, store, reached, space.vars()) else {
-                        *skipped.borrow_mut() += 1;
-                        restore(m);
-                        return;
-                    };
-                    _chi_guard = m.func(chi);
-                    // Sweep the conversion's scratch so the leak pass sees
-                    // only what the engine itself left live.
-                    let mut roots = view.roots.to_vec();
-                    roots.push(chi);
-                    m.collect_garbage(&roots);
-                    AuditTargets::for_chi(&space, chi)
+                .with_leak_roots(view.roots);
+                if run_passes(m, &targets, &scope, &mut sink.borrow_mut()).is_err() {
+                    *skipped.borrow_mut() += 1;
                 }
-                SetView::Zonotope { .. } => unreachable!("handled above"),
-            }
-            .with_leak_roots(view.roots);
-            if run_passes(m, &targets, &scope, &mut sink.borrow_mut()).is_err() {
-                *skipped.borrow_mut() += 1;
-            }
-            restore(m);
+            });
         }));
         let r = run_repr(lane.engine, lane.repr, &mut m, &fsm, &opts);
         // Final audit of the engine's end state, through the χ the result

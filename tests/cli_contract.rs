@@ -48,6 +48,19 @@ fn unknown_flag_is_a_usage_error() {
     // Another command's flag is just as unknown here.
     let o = bfvr(&["reach", "gen:s27", "--bad", "111"]);
     assert!(!o.status.success());
+    // `--frozen` is gone, and `--jobs` belongs to `reach --race` only.
+    for (args, flag) in [
+        (&["reach", "gen:s27", "--frozen"][..], "--frozen"),
+        (&["audit", "gen:s27", "--jobs", "2"][..], "--jobs"),
+    ] {
+        let o = bfvr(args);
+        assert!(!o.status.success(), "{args:?} was accepted");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            err.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: unexpected error text {err:?}"
+        );
+    }
     // An unknown command is reported as such, flags or not.
     let o = bfvr(&["frobnicate", "--bogus-flag"]);
     assert!(!o.status.success());
@@ -59,6 +72,17 @@ fn value_flag_without_a_value_is_a_usage_error() {
     let o = bfvr(&["reach", "gen:s27", "--engine"]);
     assert!(!o.status.success());
     assert!(String::from_utf8_lossy(&o.stderr).contains("`--engine` needs a value"));
+}
+
+#[test]
+fn jobs_without_race_is_a_usage_error() {
+    let o = bfvr(&["reach", "gen:s27", "--jobs", "2"]);
+    assert!(!o.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&o.stderr),
+        "error: --jobs requires --race\n"
+    );
+    assert!(o.stdout.is_empty(), "reach ran before rejecting --jobs");
 }
 
 #[test]
@@ -76,5 +100,7 @@ fn documented_flags_are_still_accepted() {
     ]);
     assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
     let o = bfvr(&["check", "gen:modk:3:5", "--bad", "111", "--sift"]);
+    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+    let o = bfvr(&["reach", "gen:s27", "--race", "--jobs", "1"]);
     assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
 }
